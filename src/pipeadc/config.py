@@ -203,7 +203,8 @@ def validate(config: AdcConfig) -> AdcConfig:
         raise ConfigError("flash_offsets: expected 3 values")
     for i, off in enumerate(config.flash_offsets):
         _check(math.isfinite(off), f"flash_offsets[{i}]", "offset must be finite")
-    _check(isinstance(config.rng_seed, int), "rng_seed", "rng_seed must be an integer")
+    _check(isinstance(config.rng_seed, int) and not isinstance(config.rng_seed, bool),
+           "rng_seed", "rng_seed must be an integer")
     return config
 
 

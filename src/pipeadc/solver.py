@@ -17,6 +17,7 @@ not the default.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import NamedTuple
@@ -128,16 +129,20 @@ def sweep(config: AdcConfig, axis: str, values, metric: str,
     """Map one parameter axis to a metric, one independent run per value.
 
     Each run rebuilds a fresh engine from the modified config (same seed), so
-    runs are order-independent and may fan out across processes with jobs > 1.
-    Results always come back in input order. axis takes the config file key
-    syntax, including the a0_db alias and the broadcasting ota. prefix.
+    runs are order-independent and may fan out across processes with jobs > 1;
+    the pool never gets more workers than there are values or CPUs. Results
+    always come back in input order. axis takes the config file key syntax,
+    including the a0_db alias and the broadcasting ota. prefix.
     """
     if metric not in SWEEP_METRICS:
         raise ValueError(f"unknown sweep metric: {metric!r} (use one of {SWEEP_METRICS})")
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     set_param(config, axis, 1.0)  # fail fast on a bad path, even with no values
     tasks = [(config, axis, float(v), metric, n_fft, ramp_samples) for v in values]
-    if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             metrics = list(pool.map(_sweep_one, tasks))
     else:
         metrics = [_sweep_one(t) for t in tasks]

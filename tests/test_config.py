@@ -50,6 +50,11 @@ def test_invariant_violations_name_the_field(path, value, msg):
         validate(bad)
 
 
+def test_bool_seed_rejected():
+    with pytest.raises(ConfigError, match="rng_seed"):
+        validate(AdcConfig(rng_seed=True))
+
+
 def test_error_reports_field_path():
     bad = set_param(default_config(), "stages[2].ota.beta", -1.0)
     with pytest.raises(ConfigError) as err:

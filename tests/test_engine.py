@@ -1,12 +1,27 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from pipeadc import (PIPELINE_LATENCY_SAMPLES, PipelineEngine, default_config,
                      degraded_config, digitize, ideal_config, settle_report,
                      settling_fit_config, simulate)
 from pipeadc.config import set_param
+from pipeadc.engine import MAX_SWEEPS
 
 VREF = 0.6
+
+
+def assert_bit_identical(a, b):
+    assert np.array_equal(a.decisions, b.decisions)
+    assert np.array_equal(a.flash, b.flash)
+    assert np.array_equal(a.residues.view(np.int64), b.residues.view(np.int64))
+
+
+def memory_config(seed=0, k_mem=0.5, gbw=500e6):
+    cfg = set_param(degraded_config(seed=seed), "clock.reset_enabled", False)
+    return set_param(set_param(cfg, "ota.gbw", gbw), "ota.k_mem", k_mem)
 
 # published full-swing step response, settled millivolts per slice
 STEP_TABLE_MV = {"SHA": 599.7, "Stage1": 599.2, "Stage2": 598.5, "Stage3": 596.3,
@@ -24,6 +39,16 @@ def test_constant_zero_stream():
 def test_empty_waveform_rejected():
     with pytest.raises(ValueError, match="empty"):
         simulate(np.array([]), ideal_config())
+
+
+@pytest.mark.parametrize("bad,index", [(float("nan"), 1), (float("inf"), 1), (-float("inf"), 3)])
+def test_non_finite_input_rejected(bad, index):
+    wave = np.zeros(12)
+    wave[:4] = 0.1, 0.2, 0.3, 0.4
+    wave[index] = bad
+    wave[5] = float("nan")  # only the first bad index is named
+    with pytest.raises(ValueError, match=f"non-finite input sample at index {index}"):
+        digitize(wave, ideal_config())
 
 
 def test_single_sample_run():
@@ -49,9 +74,54 @@ def test_vectorized_path_matches_stepped_path():
     wave = np.sin(np.linspace(0, 11, 300)) * 0.55
     fast = eng.simulate(wave)
     slow = eng._simulate_stepped(np.asarray(wave, dtype=np.float64), True)
-    assert np.array_equal(fast.decisions, slow.decisions)
-    assert np.array_equal(fast.flash, slow.flash)
-    assert np.array_equal(fast.residues, slow.residues)
+    assert_bit_identical(fast, slow)
+    assert (fast.sweeps, fast.stepped_samples) == (1, 0)
+    assert (slow.sweeps, slow.stepped_samples) == (0, 300)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60, database=None)
+@given(wave=arrays(np.float64, st.integers(1, 300), elements=st.floats(-0.7, 0.7)),
+       k_mem=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1.0)), min_size=7, max_size=7),
+       gbw=st.floats(100e6, 2e9),
+       seed=st.integers(0, 2 ** 16),
+       order=st.permutations(range(1, 7)))
+def test_relaxation_matches_stepped_property(wave, k_mem, gbw, seed, order):
+    cfg = memory_config(seed=seed, gbw=gbw)
+    cfg = set_param(cfg, "sha.ota.k_mem", k_mem[0])
+    for k in range(6):
+        cfg = set_param(cfg, f"stages[{k}].ota.k_mem", k_mem[k + 1])
+    pairing = tuple(zip(order[0::2], order[1::2]))
+    eng = PipelineEngine(cfg, pairing=pairing)
+    fast = eng.simulate(wave)
+    assert_bit_identical(fast, eng._simulate_stepped(wave, True))
+    assert 1 <= fast.sweeps <= MAX_SWEEPS
+
+
+def test_relaxation_hits_sweep_cap_and_stays_exact():
+    # At 1 MHz GBW the SHA keeps k_mem*exp(-2*pi*gbw*t_settle) ~ 0.985 of
+    # its previous output per sample, so sweeps j and j+1 differ by about
+    # 0.985**j of full scale and a bitwise fixed point needs thousands of
+    # sweeps. A sweep finalizes at least one sample, so the run is made
+    # longer than MAX_SWEEPS for the cap to bind.
+    eng = PipelineEngine(memory_config(seed=1, k_mem=1.0, gbw=1e6))
+    wave = np.sin(np.linspace(0, 23, 3 * MAX_SWEEPS)) * VREF
+    fast = eng.simulate(wave)
+    assert fast.sweeps == MAX_SWEEPS
+    assert 0 < fast.stepped_samples < wave.size
+    assert_bit_identical(fast, eng._simulate_stepped(wave, True))
+    lean = eng.simulate(wave, record_residues=False)
+    assert lean.residues is None
+    assert np.array_equal(lean.decisions, fast.decisions)
+    assert np.array_equal(lean.flash, fast.flash)
+
+
+def test_memory_run_converges_in_few_sweeps():
+    eng = PipelineEngine(memory_config(seed=2, k_mem=0.5))
+    wave = np.sin(np.linspace(0, 31, 2000)) * VREF
+    fast = eng.simulate(wave)
+    assert 1 < fast.sweeps < MAX_SWEEPS
+    assert fast.stepped_samples == 0
+    assert_bit_identical(fast, eng._simulate_stepped(wave, True))
 
 
 def test_reset_clears_all_memory():
@@ -102,6 +172,15 @@ def test_ota_pairing_irrelevant_under_reset():
     b = PipelineEngine(cfg, pairing=((1, 4), (2, 5), (3, 6))).simulate(wave)
     assert np.array_equal(a.decisions, b.decisions)
     assert np.array_equal(a.flash, b.flash)
+
+
+def test_ota_pairing_matters_without_reset():
+    cfg = memory_config(seed=3, k_mem=0.5, gbw=300e6)
+    wave = np.sin(np.linspace(0, 13, 300)) * VREF
+    a = PipelineEngine(cfg).simulate(wave)
+    b = PipelineEngine(cfg, pairing=((1, 4), (2, 5), (3, 6))).simulate(wave)
+    assert not np.array_equal(a.residues, b.residues)
+    assert not np.array_equal(a.decisions, b.decisions)
 
 
 def test_pairing_must_cover_all_stages():

@@ -6,6 +6,7 @@ import pytest
 from pipeadc import (Budget, OtaParams, SettleInput, budget_from_config,
                      default_config, ideal_config, min_dc_gain, min_gbw,
                      ota_settle, relaxed_budgets, sweep)
+import pipeadc.solver
 from pipeadc.config import set_param
 
 T_SETTLE = 0.387 / 166.6e6
@@ -131,3 +132,41 @@ def test_sweep_parallel_matches_serial():
     serial = sweep(ideal_config(), "ota.a0_db", vals, "enob", jobs=1)
     parallel = sweep(ideal_config(), "ota.a0_db", vals, "enob", jobs=3)
     assert serial == parallel
+
+
+@pytest.mark.parametrize("jobs", [0, -2])
+def test_sweep_rejects_jobs_below_one(jobs):
+    with pytest.raises(ValueError, match="jobs"):
+        sweep(ideal_config(), "ota.a0_db", [60.0], "enob", n_fft=256, jobs=jobs)
+
+
+@pytest.mark.parametrize("jobs,n_values,cpus,workers", [
+    (8, 3, 2, 2),      # clamped to the CPUs
+    (8, 3, 16, 3),     # clamped to the values
+    (2, 3, 16, 2),     # as asked
+    (8, 3, None, None),  # unknown CPU count: serial
+    (4, 1, 16, None),  # one value: serial
+])
+def test_sweep_clamps_pool_size(monkeypatch, jobs, n_values, cpus, workers):
+    pools = []
+
+    class RecordingPool:
+        # stands in for ProcessPoolExecutor: records the size, runs in-process
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(pipeadc.solver, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(pipeadc.solver.os, "cpu_count", lambda: cpus)
+    vals = [60.0, 80.0, 100.0][:n_values]
+    pts = sweep(ideal_config(), "ota.a0_db", vals, "enob", n_fft=256, jobs=jobs)
+    assert [p.value for p in pts] == vals
+    assert pools == ([] if workers is None else [workers])
