@@ -131,18 +131,6 @@ class AdcConfig:
 
 
 @dataclass(frozen=True)
-class StageDecision:
-    """Raw sub-ADC output of one pipeline slice at one sample.
-
-    d is the ternary 1.5-bit decision in {-1, 0, +1}; d_flash the 2-bit
-    thermometer count in {0..3}. A slice uses one of the two fields.
-    """
-
-    d: int = 0
-    d_flash: int = 0
-
-
-@dataclass(frozen=True)
 class CodeStream:
     """Corrected 8-bit output codes with their sample rate.
 

@@ -18,21 +18,31 @@ output (v_init = 0); without it, k_mem times the amplifier's previous settled
 output is left as the starting point, which is the memory effect the reset
 phase exists to kill.
 
-Array sweeps and relaxation
----------------------------
+Blocks, thresholds and relaxation
+---------------------------------
 ``step`` is the sequential definition. ``simulate`` computes the same numbers
-with whole-array sweeps down the chain. A memoryless config needs one sweep.
-With memory, the second stage on an amplifier takes its v_init from its
-partner's output in the same sweep, while the SHA and the first stage on each
-amplifier take theirs from the previous sweep, one sample earlier; the sweep
-is repeated until no residue changes a bit (waveform relaxation, Lelarasmee,
-Ruehli & Sangiovanni-Vincentelli, IEEE TCAD 1(3), 1982). Every sweep applies
-the same float operations per element as ``step``, so a bitwise fixed point
-satisfies each per-sample equation and, by induction on the sample index, is
-the sequential result. A sample only depends on earlier samples of the
-previous sweep, so the samples before the first one that changed are final
-and later sweeps recompute only the suffix. After ``MAX_SWEEPS`` sweeps the
-unconverged suffix is finished by ``step`` itself.
+with array sweeps down the chain, one block of ``BLOCK_SAMPLES`` samples at a
+time; a block starts from the residues the previous block settled last,
+which are also what every amplifier last put out. A memoryless block needs
+one sweep. With memory, the second stage on an amplifier takes its v_init
+from its partner's output in the same sweep, while the SHA and the first
+stage on each amplifier take theirs from the previous sweep, one sample
+earlier; the sweep is repeated until no residue of the block changes a bit
+(waveform relaxation, Lelarasmee, Ruehli & Sangiovanni-Vincentelli, IEEE
+TCAD 1(3), 1982). Every sweep applies the same float operations per element
+as ``step``, so a bitwise fixed point satisfies each per-sample equation
+and, by induction on the sample index, is the sequential result. A sample
+only depends on earlier samples of the previous sweep, so the samples
+before the first one that changed are final and later sweeps recompute only
+the suffix. After ``MAX_SWEEPS`` sweeps ``step`` finishes the unconverged
+rest of the block.
+
+A sweep decides comparators by comparing residues against thresholds that
+are exact to the bit: ``PipelineEngine.__init__`` finds, for each decision
+level, the smallest float at which ``sub_adc_decide`` or ``flash2b`` reaches
+it. Float subtraction rounds monotonically, so each comparison inside those
+functions flips exactly once as the input rises, and comparing against the
+flip points gives their decisions for every finite input.
 """
 
 from __future__ import annotations
@@ -41,20 +51,80 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import AdcConfig, N_STAGES, StageDecision, validate
-from .stages import comparator_diff, settle_coefficients, settle_value, sub_adc_decide, flash2b
+from .config import AdcConfig, N_STAGES, validate
+# comparator_diff is not called here; bench/tracer.py patches it in this module
+from .stages import comparator_diff, settle_coefficients, settle_value, sub_adc_decide, flash2b  # noqa: F401
 
 # SHA, six stages, flash: seven one-sample hops from input to a complete code.
 PIPELINE_LATENCY_SAMPLES = 7
 
 DEFAULT_PAIRING = ((1, 2), (3, 4), (5, 6))
 
-# Sweeps a memory config may take before ``step`` finishes the unconverged
-# suffix. One sweep over an 8K-sample capture costs about as much as stepping
-# 50 samples, so a run that hits the cap costs about 1.4x stepping it
-# all; the degraded preset converges within the cap at every k_mem <= 1 from
-# 300 MHz GBW up, and at k_mem <= 0.5 from 100 MHz up.
+# Samples per block. A block's dozen temporaries per stage (128 KB each)
+# stay in cache: 8K-32K blocks run 2^20 samples in about the same time,
+# 2K blocks take about 1.7x as long and a single 2^20 block about 3x.
+BLOCK_SAMPLES = 16384
+
+# Sweeps a memory block may take before ``step`` finishes its unconverged
+# suffix. One sweep over an 8K-sample block costs about as much as stepping
+# 50 samples, so a block that hits the cap costs about 1.35x stepping it
+# all; the degraded preset converges within the cap at every k_mem <= 1
+# from 300 MHz GBW up, and at k_mem <= 0.5 from 100 MHz up.
 MAX_SWEEPS = 64
+
+# Largest accepted |input| in units of vref. With |gain_mismatch| < 0.5,
+# g <= 1 and k_mem <= 1 (all enforced by validate), one hop takes a residue
+# bounded by r to less than 3r + 1.5 vref, so the seven hops of a memoryless
+# sample stay below 3^7 (1e6 + 1) vref, about 2.2e9 vref, far from overflow.
+# With amplifier memory the hops compound from sample to sample, and a
+# pairing that hands a late stage's output to an early stage can still
+# overflow; ``_decide`` then treats a NaN residue as sub_adc_decide does.
+INPUT_LIMIT_VREF = 1e6
+
+_MAX_FLOAT = float(np.finfo(np.float64).max)
+
+
+def _ordered(x: float) -> int:
+    """Integer that orders like the float x (+0.0 and -0.0 share 0)."""
+    i = int(np.float64(x).view(np.int64))
+    return i if i >= 0 else -(i & 0x7FFF_FFFF_FFFF_FFFF)
+
+
+def _unordered(k: int) -> float:
+    """The float whose :func:`_ordered` is k."""
+    return float(np.uint64(k if k >= 0 else -k | 1 << 63).view(np.float64))
+
+
+def _first_true(pred, guess: float) -> float:
+    """Smallest finite float u with pred(u), for pred monotone in u (false, then true).
+
+    Steps from ``guess`` one float at a time, which finds the flip at once
+    for a closed-form guess, and bisects over the ordered bit patterns of the
+    finite floats when that does not. Returns -inf when pred holds at every
+    finite float and +inf when it holds at none.
+    """
+    u = min(max(guess, -_MAX_FLOAT), _MAX_FLOAT)
+    up = not pred(u)
+    for _ in range(4):
+        w = float(np.nextafter(u, np.inf if up else -np.inf))
+        if abs(w) > _MAX_FLOAT:
+            return w
+        if pred(w) == up:
+            return w if up else u
+        u = w
+    if pred(-_MAX_FLOAT):
+        return -np.inf
+    if not pred(_MAX_FLOAT):
+        return np.inf
+    # ordered keys: pred is false at lo and true at hi
+    lo, hi = (_ordered(u), _ordered(_MAX_FLOAT)) if up else (_ordered(-_MAX_FLOAT), _ordered(u))
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if pred(_unordered(mid)):
+            hi = mid
+        else:
+            lo = mid
+    return _unordered(hi)
 
 
 @dataclass
@@ -73,27 +143,13 @@ class PipelineState:
 
 
 @dataclass(frozen=True)
-class StageTrace:
-    """Per-sample record: settled residues (SHA + 6 stages) and the raw decisions.
-
-    decisions holds the six 1.5-bit entries; flash the 2-bit entry.
-    """
-
-    n: int
-    vin: float
-    residues: tuple[float, ...]
-    decisions: tuple[StageDecision, ...]
-    flash: StageDecision
-
-
-@dataclass(frozen=True)
 class SimulationResult:
     """Raw decision stream plus optional residue traces for one run.
 
     decisions has shape (n, 6) with values in {-1, 0, +1}; flash has shape
     (n,) with values in {0..3}; residues has shape (n, 7) when recorded.
     The first ``warmup`` entries were produced while the pipe was filling.
-    sweeps counts the array sweeps the run took (1 when memoryless) and
+    sweeps is the most array sweeps any block took (1 when memoryless) and
     stepped_samples the samples finished one at a time by ``step``.
     """
 
@@ -131,7 +187,7 @@ class PipelineEngine:
             raise ValueError("pairing must cover stages 1..6 exactly once")
         c = self.config
         t = c.clock.t_settle
-        self.vref = c.reference.vref
+        vref = self.vref = c.reference.vref
         self._reset = c.clock.reset_enabled
         # slot 0 is the SHA amplifier; _last_user[slot] is the channel that
         # amplifies last on it within a step, whose output the next step sees
@@ -154,20 +210,35 @@ class PipelineEngine:
             self._e.append(e)
             self._kmem.append(amp.ota.k_mem)
         self._two_g = [2.0 * (1.0 + st.gain_mismatch) for st in c.stages]
-        self._dref = [(1.0 + st.dac_mismatch) * c.reference.vref for st in c.stages]
+        self._dref = [(1.0 + st.dac_mismatch) * vref for st in c.stages]
         self._memoryless = self._reset or all(k == 0.0 for k in self._kmem)
+        # t_j: the smallest float at which sub_adc_decide reaches j, found
+        # from the real-valued flips as guesses
+        self._sub_thresholds = []
+        for st in c.stages:
+            hi = 0.25 * vref + st.cmp_offset_hi
+            lo = st.cmp_offset_lo - 0.25 * vref
+            self._sub_thresholds.append(tuple(
+                _first_true(lambda u, j=j, st=st: sub_adc_decide(u, st, vref) >= j, guess)
+                for j, guess in ((0, min(hi, lo)), (1, hi))))
+        # f_j: the smallest float at which flash2b reaches j
+        flips = sorted(thr + off for thr, off in zip((-0.5 * vref, 0.0, 0.5 * vref),
+                                                     c.flash_offsets))
+        self._flash_thresholds = tuple(
+            _first_true(lambda u, j=j: flash2b(u, c.flash_offsets, vref) >= j, guess)
+            for j, guess in enumerate(flips, start=1))
 
     def new_state(self) -> PipelineState:
         return PipelineState(ota_last=[0.0] * len(self._last_user))
 
     # -- scalar state machine ------------------------------------------------
 
-    def step(self, vin: float, state: PipelineState) -> tuple[tuple[int, ...], int, StageTrace]:
-        """Advance one sample; mutates state, returns this step's raw decisions.
+    def step(self, vin: float, state: PipelineState) -> tuple[tuple[int, ...], int, tuple[float, ...]]:
+        """Advance one sample; mutates state, returns (decisions, d_flash, residues).
 
         All stage decisions read the residues the previous step left behind,
         so the data for one input sample marches down the chain one slice per
-        step.
+        step. residues are the SHA and stage outputs this step settled.
         """
         c = self.config
         prev = state.residues
@@ -193,144 +264,139 @@ class PipelineEngine:
 
         d_flash = flash2b(prev[N_STAGES], c.flash_offsets, self.vref)
         state.residues = new_res
-        n = state.n
         state.n += 1
-        trace = StageTrace(n=n, vin=vin, residues=tuple(new_res),
-                           decisions=tuple(StageDecision(d=d) for d in decisions),
-                           flash=StageDecision(d_flash=d_flash))
-        return tuple(decisions), d_flash, trace
+        return tuple(decisions), d_flash, tuple(new_res)
 
     # -- batch driver ----------------------------------------------------------
 
     def simulate(self, waveform, record_residues: bool = True) -> SimulationResult:
         """Run a whole waveform; output length equals input length.
 
-        Bit-identical to stepping sample by sample. Memoryless configs (reset
-        enabled, or every k_mem zero) take one array sweep; configs with
-        amplifier memory repeat it until the residues reach a bitwise fixed
-        point, and finish with ``step`` whatever has not converged after
-        ``MAX_SWEEPS`` sweeps (see the module docstring). Non-finite samples
-        are rejected.
+        Bit-identical to stepping sample by sample. The waveform runs in
+        blocks of ``BLOCK_SAMPLES``. A memoryless block (reset enabled, or
+        every k_mem zero) takes one array sweep; with amplifier memory a
+        block repeats it until its residues reach a bitwise fixed point, and
+        ``step`` finishes whatever has not converged after ``MAX_SWEEPS``
+        sweeps (see the module docstring). Comparators are decided against
+        exact precomputed thresholds. Non-finite samples and samples beyond
+        ``INPUT_LIMIT_VREF`` times vref are rejected, naming the first.
         """
         v = np.asarray(waveform, dtype=np.float64)
         if v.ndim != 1 or v.size == 0:
             raise ValueError("empty waveform")
-        bad = np.flatnonzero(~np.isfinite(v))
-        if bad.size:
-            raise ValueError(f"non-finite input sample at index {bad[0]}: {v[bad[0]]}")
+        limit = INPUT_LIMIT_VREF * self.vref
+        if not np.abs(v).max() <= limit:
+            i = np.flatnonzero(~(np.abs(v) <= limit))[0]
+            if not np.isfinite(v[i]):
+                raise ValueError(f"non-finite input sample at index {i}: {v[i]}")
+            raise ValueError(f"input sample at index {i} is out of range: "
+                             f"|{v[i]}| > {INPUT_LIMIT_VREF:g} * vref")
         n = v.size
         decisions = np.empty((n, N_STAGES), dtype=np.int8)
-        if self._memoryless:
-            residues = np.empty((n, N_STAGES + 1), dtype=np.float64) if record_residues else None
-            _, last = self._sweep(v, 0, decisions, None if residues is None else residues.T)
-            flash = self._flash(last)
-            return SimulationResult(vin=v, decisions=decisions, flash=flash, residues=residues,
-                                    fs=self.config.clock.fs, sweeps=1)
-
-        # pass 0 guesses discharged amplifiers; residues are kept channel-major
-        work = np.zeros((N_STAGES + 1, n), dtype=np.float64)
-        start = sweeps = 0
-        while start < n and sweeps < MAX_SWEEPS:
-            changed, _ = self._sweep(v, start, decisions, work)
-            # the first changed sample was computed from final inputs: it is final too
-            start = min(changed + 1, n)
-            sweeps += 1
-        flash = self._flash(work[N_STAGES])
-        if start < n:
-            state = self.new_state()
-            state.residues = [float(x) for x in work[:, start - 1]]
-            state.ota_last = [state.residues[ch] for ch in self._last_user]
-            state.n = start
-            self._step_through(v, state, decisions, flash, work.T)
-        residues = np.ascontiguousarray(work.T) if record_residues else None
+        flash = np.empty(n, dtype=np.int8)
+        residues = np.empty((n, N_STAGES + 1), dtype=np.float64) if record_residues else None
+        # channel-major: column 0 holds the residues of the sample before the
+        # block (all zero before the first), column 1 + i those of sample i
+        buf = np.zeros((N_STAGES + 1, min(n, BLOCK_SAMPLES) + 1), dtype=np.float64)
+        sweeps = stepped = 0
+        for b0 in range(0, n, BLOCK_SAMPLES):
+            b1 = min(b0 + BLOCK_SAMPLES, n)
+            cols = buf[:, :b1 - b0 + 1]
+            block_sweeps, block_stepped = self._block(v[b0:b1], cols, decisions[b0:b1],
+                                                      flash[b0:b1])
+            sweeps = max(sweeps, block_sweeps)
+            stepped += block_stepped
+            if residues is not None:
+                residues[b0:b1] = cols[:, 1:].T
+            buf[:, 0] = cols[:, -1]
         return SimulationResult(vin=v, decisions=decisions, flash=flash, residues=residues,
-                                fs=self.config.clock.fs, sweeps=sweeps,
-                                stepped_samples=n - start)
+                                fs=self.config.clock.fs, sweeps=sweeps, stepped_samples=stepped)
 
-    def _sweep(self, v: np.ndarray, start: int, decisions: np.ndarray, cols):
-        """One array pass down the chain over samples ``start:``.
+    def _block(self, v: np.ndarray, cols: np.ndarray, decisions: np.ndarray,
+               flash: np.ndarray) -> tuple[int, int]:
+        """Run one block; returns (sweeps, samples stepped).
 
-        Writes decisions[start:] and, when ``cols`` is given (one row per
-        channel), the residues cols[ch, start:]. Without memory every
-        amplification starts from v_init = 0.0. With memory ``cols`` holds
-        the previous pass, whose samples before ``start`` are final, and
-        v_init is k_mem times the amplifier's previous output as ``step``
-        sees it. Returns the first sample at which a residue changed bits
-        (v.size when none did) and the last stage's residues over ``start:``.
+        cols is laid out as in ``simulate``; its column 0 is final on entry.
         """
-        vref = self.vref
-        first = v.size
-        settled, first = self._amplify(0, v[start:], start, cols, first)
-        u = np.empty(v.size - start, dtype=np.float64)
-        for k in range(1, N_STAGES + 1):
-            st = self.config.stages[k - 1]
-            u[0] = cols[k - 1, start - 1] if start else 0.0
-            u[1:] = settled[:-1]
-            v_hi = comparator_diff(0.25 * vref, -0.25 * vref, u, -u)
-            v_lo = comparator_diff(-0.25 * vref, 0.25 * vref, u, -u)
-            d = np.where(v_hi < -2.0 * st.cmp_offset_hi, 1,
-                         np.where(v_lo > -2.0 * st.cmp_offset_lo, -1, 0)).astype(np.int8)
-            target = self._two_g[k - 1] * u - d * self._dref[k - 1]
-            settled, first = self._amplify(k, target, start, cols, first)
-            decisions[start:, k - 1] = d
-        return first, settled
+        if not self._memoryless:
+            cols[:, 1:] = 0.0  # pass 0 guesses discharged amplifiers
+        start = sweeps = 0
+        while start < v.size and sweeps < MAX_SWEEPS:
+            # the first changed sample was computed from final inputs: it is final too
+            start = min(self._sweep(v, start, decisions, cols) + 1, v.size)
+            sweeps += 1
+        flash[:] = self._flash_decide(cols[N_STAGES, :-1])
+        if start < v.size:
+            state = PipelineState(residues=[float(x) for x in cols[:, start]],
+                                  ota_last=[float(cols[ch, start]) for ch in self._last_user],
+                                  n=start)
+            self._step_through(v, state, decisions, flash, cols.T[1:])
+        return sweeps, v.size - start
 
-    def _amplify(self, ch: int, target: np.ndarray, start: int, cols, first: int):
+    def _sweep(self, v: np.ndarray, start: int, decisions: np.ndarray, cols: np.ndarray) -> int:
+        """One array pass down the chain over block samples ``start:``.
+
+        Writes decisions[start:] and the residues cols[:, 1 + start:]. Without
+        memory every amplification starts from v_init = 0.0. With memory
+        ``cols`` holds the previous pass, whose samples before ``start`` are
+        final, and v_init is k_mem times the amplifier's previous output as
+        ``step`` sees it. Returns the first sample at which a residue changed
+        bits (v.size when none did, or without memory).
+        """
+        first = self._amplify(0, v[start:], start, cols, v.size)
+        for k in range(1, N_STAGES + 1):
+            u = cols[k - 1, start:-1]
+            d = self._decide(k, u)
+            target = self._two_g[k - 1] * u - d * self._dref[k - 1]
+            first = self._amplify(k, target, start, cols, first)
+            decisions[start:, k - 1] = d
+        return first
+
+    def _decide(self, k: int, u: np.ndarray) -> np.ndarray:
+        """Stage k's decisions on residues u: sub_adc_decide elementwise."""
+        t0, t1 = self._sub_thresholds[k - 1]
+        # written so that a NaN residue gives 0, as in sub_adc_decide
+        return (u >= t1).view(np.int8) - (u < t0).view(np.int8)
+
+    def _flash_decide(self, u: np.ndarray) -> np.ndarray:
+        """Flash decisions on last-stage residues u: flash2b elementwise."""
+        f1, f2, f3 = self._flash_thresholds
+        return (u >= f1).view(np.int8) + (u >= f2).view(np.int8) + (u >= f3).view(np.int8)
+
+    def _amplify(self, ch: int, target: np.ndarray, start: int, cols: np.ndarray,
+                 first: int) -> int:
         """Settle channel ``ch`` toward ``target`` over samples ``start:`` (see ``_sweep``).
 
-        Stores the result in cols[ch] when given, and returns it with
-        ``first`` lowered to the first sample whose bits it changed.
+        Stores the result in cols[ch, 1 + start:] and returns ``first``
+        lowered to the first sample whose bits it changed.
         """
-        memory = not self._memoryless
-        v_init = 0.0
-        if memory:
-            src, same_step = self._mem_src[ch]
-            if same_step:
-                prev_out = cols[src, start:]
-            else:
-                prev_out = np.empty(target.size, dtype=np.float64)
-                prev_out[0] = cols[src, start - 1] if start else 0.0
-                prev_out[1:] = cols[src, start:-1]
-            v_init = self._kmem[ch] * prev_out
-        settled = settle_value(target, v_init, self._g[ch], self._e[ch])
-        if cols is not None:
-            if memory:
-                diff = settled.view(np.int64) != cols[ch, start:].view(np.int64)
-                i = int(diff.argmax())
-                if diff[i]:
-                    first = min(first, start + i)
-            cols[ch, start:] = settled
-        return settled, first
-
-    def _flash(self, last: np.ndarray) -> np.ndarray:
-        """Flash decisions for every sample from the last stage's residues."""
-        vref = self.vref
-        u = np.empty(last.size, dtype=np.float64)
-        u[0] = 0.0
-        u[1:] = last[:-1]
-        flash = np.zeros(last.size, dtype=np.int8)
-        for thr, off in zip((-0.5 * vref, 0.0, 0.5 * vref), self.config.flash_offsets):
-            v_diff = comparator_diff(thr, -thr, u, -u)
-            flash += (v_diff < -2.0 * off)
-        return flash
+        if self._memoryless:
+            cols[ch, 1 + start:] = settle_value(target, 0.0, self._g[ch], self._e[ch])
+            return first
+        src, same_step = self._mem_src[ch]
+        prev_out = cols[src, 1 + start:] if same_step else cols[src, start:-1]
+        settled = settle_value(target, self._kmem[ch] * prev_out, self._g[ch], self._e[ch])
+        diff = settled.view(np.int64) != cols[ch, 1 + start:].view(np.int64)
+        i = int(diff.argmax())
+        if diff[i]:
+            first = min(first, start + i)
+        cols[ch, 1 + start:] = settled
+        return first
 
     def _step_through(self, v, state, decisions, flash, residues) -> None:
         """Run ``step`` over samples state.n.. of v, writing each one's output row."""
         for i in range(state.n, v.size):
-            ds, d_flash, trace = self.step(float(v[i]), state)
-            decisions[i, :] = ds
-            flash[i] = d_flash
-            if residues is not None:
-                residues[i, :] = trace.residues
+            decisions[i, :], flash[i], residues[i, :] = self.step(float(v[i]), state)
 
     def _simulate_stepped(self, v: np.ndarray, record_residues: bool) -> SimulationResult:
         """The sequential reference: ``step`` over every sample."""
         n = v.size
         decisions = np.empty((n, N_STAGES), dtype=np.int8)
         flash = np.empty(n, dtype=np.int8)
-        residues = np.empty((n, N_STAGES + 1), dtype=np.float64) if record_residues else None
+        residues = np.empty((n, N_STAGES + 1), dtype=np.float64)
         self._step_through(v, self.new_state(), decisions, flash, residues)
-        return SimulationResult(vin=v, decisions=decisions, flash=flash, residues=residues,
+        return SimulationResult(vin=v, decisions=decisions, flash=flash,
+                                residues=residues if record_residues else None,
                                 fs=self.config.clock.fs, stepped_samples=n)
 
 

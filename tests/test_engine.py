@@ -1,12 +1,15 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from pipeadc import (PIPELINE_LATENCY_SAMPLES, PipelineEngine, default_config,
-                     degraded_config, digitize, ideal_config, settle_report,
-                     settling_fit_config, simulate)
+from pipeadc import (PIPELINE_LATENCY_SAMPLES, PipelineEngine, StageParams, default_config,
+                     degraded_config, digitize, flash2b, ideal_config, settle_report,
+                     settling_fit_config, simulate, sub_adc_decide)
+from pipeadc import engine
 from pipeadc.config import set_param
 from pipeadc.engine import MAX_SWEEPS
 
@@ -51,6 +54,25 @@ def test_non_finite_input_rejected(bad, index):
         digitize(wave, ideal_config())
 
 
+def test_over_range_input_rejected():
+    # 1e308 would overflow the first stage's 2u into inf and its residues into NaN
+    wave = np.zeros(12)
+    wave[:4] = 1e308, 1e308, -0.1, 0.0
+    with pytest.raises(ValueError, match="input sample at index 0 is out of range"):
+        simulate(wave, ideal_config())
+    wave = np.zeros(12)
+    wave[3] = -1.000001e6 * VREF
+    wave[5] = float("nan")  # only the first bad index is named
+    with pytest.raises(ValueError, match="input sample at index 3 is out of range"):
+        simulate(wave, degraded_config(seed=1))
+    # the limit itself is accepted and cannot overflow
+    wave = np.array([1e6, -1e6, 0.0, 1e6, 0.3]) * VREF
+    with np.errstate(over="raise", invalid="raise"):
+        for cfg in (ideal_config(), degraded_config(seed=2)):
+            eng = PipelineEngine(cfg)
+            assert_bit_identical(eng.simulate(wave), eng._simulate_stepped(wave, True))
+
+
 def test_single_sample_run():
     r = simulate(np.array([0.25]), ideal_config())
     assert len(r.flash) == 1
@@ -79,22 +101,30 @@ def test_vectorized_path_matches_stepped_path():
     assert (slow.sweeps, slow.stepped_samples) == (0, 300)
 
 
-@settings(derandomize=True, deadline=None, max_examples=60, database=None)
+@settings(derandomize=True, deadline=None, max_examples=80, database=None)
 @given(wave=arrays(np.float64, st.integers(1, 300), elements=st.floats(-0.7, 0.7)),
        k_mem=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1.0)), min_size=7, max_size=7),
        gbw=st.floats(100e6, 2e9),
        seed=st.integers(0, 2 ** 16),
-       order=st.permutations(range(1, 7)))
-def test_relaxation_matches_stepped_property(wave, k_mem, gbw, seed, order):
-    cfg = memory_config(seed=seed, gbw=gbw)
+       order=st.permutations(range(1, 7)),
+       reset=st.booleans(),
+       block=st.integers(1, 64))
+def test_relaxation_matches_stepped_property(wave, k_mem, gbw, seed, order, reset, block):
+    # small blocks make short runs cross many block boundaries
+    cfg = set_param(memory_config(seed=seed, gbw=gbw), "clock.reset_enabled", reset)
     cfg = set_param(cfg, "sha.ota.k_mem", k_mem[0])
     for k in range(6):
         cfg = set_param(cfg, f"stages[{k}].ota.k_mem", k_mem[k + 1])
     pairing = tuple(zip(order[0::2], order[1::2]))
     eng = PipelineEngine(cfg, pairing=pairing)
-    fast = eng.simulate(wave)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "BLOCK_SAMPLES", block)
+        fast = eng.simulate(wave)
     assert_bit_identical(fast, eng._simulate_stepped(wave, True))
     assert 1 <= fast.sweeps <= MAX_SWEEPS
+    if reset or not any(k_mem):
+        assert fast.sweeps == 1
+    assert fast.stepped_samples == 0  # a block of at most MAX_SWEEPS samples never hits the cap
 
 
 def test_relaxation_hits_sweep_cap_and_stays_exact():
@@ -113,6 +143,46 @@ def test_relaxation_hits_sweep_cap_and_stays_exact():
     assert lean.residues is None
     assert np.array_equal(lean.decisions, fast.decisions)
     assert np.array_equal(lean.flash, fast.flash)
+
+
+def test_sweep_cap_in_a_middle_block_stays_exact(monkeypatch):
+    # Three blocks: zeros, whose residues stay exactly 0.0 so one sweep
+    # converges; the 1 MHz sine of the test above, which hits the cap; and a
+    # tail shorter than MAX_SWEEPS, which cannot (a sweep finalizes a sample).
+    block = 3 * MAX_SWEEPS
+    monkeypatch.setattr(engine, "BLOCK_SAMPLES", block)
+    eng = PipelineEngine(memory_config(seed=1, k_mem=1.0, gbw=1e6))
+    sine = np.sin(np.linspace(0, 23, block)) * VREF
+    wave = np.concatenate([np.zeros(block), sine, sine[:MAX_SWEEPS // 2]])
+    fast = eng.simulate(wave)
+    assert fast.sweeps == MAX_SWEEPS
+    # the zero block leaves the state a run starts from, so the middle block
+    # run alone steps the same samples, and the other blocks step none
+    alone = eng.simulate(sine)
+    assert 0 < fast.stepped_samples == alone.stepped_samples < block
+    assert_bit_identical(fast, eng._simulate_stepped(wave, True))
+    lean = eng.simulate(wave, record_residues=False)
+    assert np.array_equal(lean.decisions, fast.decisions)
+    assert np.array_equal(lean.flash, fast.flash)
+
+
+def test_overflowing_memory_run_matches_stepped(monkeypatch):
+    # With stage 1 sharing its amplifier with stage 6, a 1.5 vref input grows
+    # about 30 % a sample until residues overflow to inf and NaN; the sweeps
+    # must still decide a NaN residue as sub_adc_decide does (d = 0). Blocks
+    # of MAX_SWEEPS samples keep the cap fallback from deciding instead.
+    monkeypatch.setattr(engine, "BLOCK_SAMPLES", MAX_SWEEPS)
+    eng = PipelineEngine(memory_config(seed=0, k_mem=1.0, gbw=100e6),
+                         pairing=((1, 6), (2, 3), (4, 5)))
+    wave = np.full(2500, 1.5 * VREF)
+    with np.errstate(over="ignore", invalid="ignore"):
+        fast = eng.simulate(wave)
+    slow = eng._simulate_stepped(wave, True)
+    assert np.isnan(fast.residues).any()
+    assert fast.stepped_samples == 0
+    assert np.array_equal(fast.decisions, slow.decisions)
+    assert np.array_equal(fast.flash, slow.flash)
+    assert np.array_equal(fast.residues, slow.residues, equal_nan=True)
 
 
 def test_memory_run_converges_in_few_sweeps():
@@ -191,16 +261,66 @@ def test_pairing_must_cover_all_stages():
 def test_step_trace_contents():
     eng = PipelineEngine(ideal_config())
     state = eng.new_state()
-    decisions, d_flash, trace = eng.step(0.3 * VREF, state)
+    decisions, d_flash, residues = eng.step(0.3 * VREF, state)
     assert len(decisions) == 6
     assert 0 <= d_flash <= 3
-    assert trace.n == 0
-    assert len(trace.residues) == 7
-    assert [e.d for e in trace.decisions] == list(decisions)
-    assert trace.flash.d_flash == d_flash
-    _, _, trace2 = eng.step(0.0, state)
-    assert trace2.n == 1
-    assert trace.residues[0] == pytest.approx(0.3 * VREF, rel=1e-8)
+    assert state.n == 1
+    assert residues == tuple(state.residues)
+    assert len(residues) == 7
+    eng.step(0.0, state)
+    assert state.n == 2
+    assert residues[0] == pytest.approx(0.3 * VREF, rel=1e-8)
+
+
+MAX_FLOAT = float(np.finfo(np.float64).max)
+
+
+def probe_points(thresholds):
+    """Each finite threshold and its neighbours, float extremes, and a dense grid."""
+    pts = [0.0, -0.0, 5e-324, -5e-324, MAX_FLOAT, -MAX_FLOAT, MAX_FLOAT / 2, -MAX_FLOAT / 2]
+    for t in thresholds:
+        if np.isfinite(t):
+            pts += [np.nextafter(t, -np.inf), t, np.nextafter(t, np.inf)]
+    return np.concatenate([pts, np.linspace(-2 * VREF, 2 * VREF, 20001)])
+
+
+@pytest.mark.parametrize("hi,lo,levels", [
+    (0.0, 0.0, None),
+    (VREF / 8, VREF / 8, None),
+    (-VREF / 8, -VREF / 8, None),
+    (VREF / 8, -VREF / 8, None),
+    (-VREF / 8, VREF / 8, None),
+    (-0.3 * VREF, 0.3 * VREF, None),  # crossing: the +1 threshold lies below the -1 one
+    (-VREF / 4, VREF / 4, None),  # both flips a denormal step from zero
+    (1e300, -1e300, None),  # neither level is reached by any input the engine accepts
+    (1e308, -1e308, (-np.inf, np.inf)),  # -2 * offset overflows: +1 never, -1 never
+    (-1e308, 1e308, None),  # +1 everywhere except where 2u overflows
+])
+def test_stage_thresholds_match_sub_adc_decide(hi, lo, levels):
+    stage = StageParams(cmp_offset_hi=hi, cmp_offset_lo=lo)
+    eng = PipelineEngine(replace(ideal_config(), stages=(stage,) * 6))
+    t0, t1 = eng._sub_thresholds[0]
+    assert t0 <= t1
+    if levels is not None:
+        assert (t0, t1) == levels
+    u = probe_points((t0, t1))
+    assert eng._decide(1, u).tolist() == [sub_adc_decide(x, stage, VREF) for x in u.tolist()]
+
+
+@pytest.mark.parametrize("offsets", [
+    (0.0, 0.0, 0.0),
+    (VREF / 8, -VREF / 8, VREF / 8),
+    (0.45 * VREF, 0.0, -0.45 * VREF),  # the outer comparators cross
+    (1e300, 0.0, -1e300),
+    (1e308, -1e308, 0.0),  # one comparator never trips, one always does
+    (-1e308, 1e308, 1e-12),
+])
+def test_flash_thresholds_match_flash2b(offsets):
+    eng = PipelineEngine(replace(ideal_config(), flash_offsets=offsets))
+    f = eng._flash_thresholds
+    assert list(f) == sorted(f)
+    u = probe_points(f)
+    assert eng._flash_decide(u).tolist() == [flash2b(x, offsets, VREF) for x in u.tolist()]
 
 
 def test_full_swing_step_tracks_published_chain():
