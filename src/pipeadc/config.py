@@ -7,7 +7,8 @@ Conventions
 -----------
 * Voltages are differential volts centered on 0; the analog input range is
   ``[-vref, +vref]``.
-* OTA DC gain ``a0`` is stored linear and displayed in dB (see ``a0_db``).
+* OTA DC gain ``a0`` is stored linear; config keys may give it in dB
+  through an ``a0_db`` leaf (see :func:`set_param`).
 * Static mismatch and comparator offsets are fabrication-time constants: they
   are drawn once per config (see :func:`with_mismatch`), never per sample.
 """
@@ -42,13 +43,11 @@ class ReferenceConfig:
     """Reference levels.
 
     vref is the differential half-range: full scale spans [-vref, +vref] and
-    the positive/negative reference taps sit at +-vref. vcm is the output
-    common-mode level; the model is fully differential, so vcm is carried for
-    reporting only and does not enter the arithmetic.
+    the positive/negative reference taps sit at +-vref. The model is fully
+    differential, so no common-mode level enters the arithmetic.
     """
 
     vref: float = 0.6
-    vcm: float = 0.9
 
 
 @dataclass(frozen=True)
@@ -68,10 +67,6 @@ class OtaParams:
     gbw: float = 2.5e9
     beta: float = 0.5
     k_mem: float = 0.0
-
-    @property
-    def a0_db(self) -> float:
-        return gain_to_db(self.a0)
 
 
 @dataclass(frozen=True)
@@ -177,7 +172,6 @@ def validate(config: AdcConfig) -> AdcConfig:
     """
     _check(math.isfinite(config.reference.vref) and config.reference.vref > 0.0,
            "reference.vref", "vref must be positive")
-    _check(math.isfinite(config.reference.vcm), "reference.vcm", "vcm must be finite")
     _check(math.isfinite(config.clock.fs) and config.clock.fs > 0.0,
            "clock.fs", "fs must be positive")
     _check(0.0 < config.clock.settle_fraction <= 0.5,
@@ -341,8 +335,8 @@ def set_param(config: AdcConfig, path: str, value) -> AdcConfig:
             raise ConfigError(f"bad value for rng_seed: {value!r}") from exc
     head, _, rest = path.partition(".")
     try:
-        if head == "reference" and rest in ("vref", "vcm"):
-            return replace(config, reference=replace(config.reference, **{rest: float(value)}))
+        if head == "reference" and rest == "vref":
+            return replace(config, reference=replace(config.reference, vref=float(value)))
         if head == "clock":
             if rest == "reset_enabled":
                 return replace(config, clock=replace(config.clock, reset_enabled=_as_bool(value)))
@@ -398,7 +392,6 @@ def config_to_text(config: AdcConfig) -> str:
     """Serialize every parameter as flat key = value lines (exact round trip)."""
     lines = ["# pipeadc configuration"]
     lines.append(f"reference.vref = {_fmt(config.reference.vref)}")
-    lines.append(f"reference.vcm = {_fmt(config.reference.vcm)}")
     lines.append(f"clock.fs = {_fmt(config.clock.fs)}")
     lines.append(f"clock.settle_fraction = {_fmt(config.clock.settle_fraction)}")
     lines.append(f"clock.reset_enabled = {_fmt(config.clock.reset_enabled)}")

@@ -13,8 +13,6 @@ test that pins the offsets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .config import AdcConfig, CodeStream, N_STAGES
@@ -22,28 +20,6 @@ from .engine import PIPELINE_LATENCY_SAMPLES, PipelineEngine, SimulationResult
 
 MID_CODE = 128
 FLASH_MID = 2
-
-
-@dataclass(frozen=True)
-class CorrectionInput:
-    """Time-aligned decisions for one input sample: six ternary digits plus the flash code."""
-
-    d: tuple[int, ...]
-    d_flash: int
-
-
-def align_and_correct(c: CorrectionInput) -> int:
-    """Merge one sample's redundant decisions into a code in [0, 255]."""
-    if len(c.d) != N_STAGES:
-        raise ValueError(f"expected {N_STAGES} stage decisions, got {len(c.d)}")
-    acc = MID_CODE + (int(c.d_flash) - FLASH_MID)
-    if not 0 <= c.d_flash <= 3:
-        raise ValueError(f"d_flash must be in 0..3, got {c.d_flash}")
-    for i, d in enumerate(c.d, start=1):
-        if d not in (-1, 0, 1):
-            raise ValueError(f"stage decision must be -1, 0 or +1, got {d}")
-        acc += d * (1 << (7 - i))
-    return min(255, max(0, acc))
 
 
 def correct_stream(decisions: np.ndarray, flash: np.ndarray, fs: float) -> CodeStream:
@@ -71,9 +47,9 @@ def correct_result(result: SimulationResult) -> CodeStream:
     return correct_stream(result.decisions, result.flash, result.fs)
 
 
-def digitize(waveform, config: AdcConfig, record_residues: bool = False) -> CodeStream:
+def digitize(waveform, config: AdcConfig) -> CodeStream:
     """End-to-end conversion of a waveform into a corrected code stream."""
-    result = PipelineEngine(config).simulate(waveform, record_residues=record_residues)
+    result = PipelineEngine(config).simulate(waveform, record_residues=False)
     return correct_result(result)
 
 

@@ -53,7 +53,8 @@ import numpy as np
 
 from .config import AdcConfig, N_STAGES, validate
 # comparator_diff is not called here; bench/tracer.py patches it in this module
-from .stages import comparator_diff, settle_coefficients, settle_value, sub_adc_decide, flash2b  # noqa: F401
+from .stages import (comparator_diff, flash2b, mdac_residue, settle_coefficients,  # noqa: F401
+                     settle_value, sub_adc_decide)
 
 # SHA, six stages, flash: seven one-sample hops from input to a complete code.
 PIPELINE_LATENCY_SAMPLES = 7
@@ -76,9 +77,8 @@ MAX_SWEEPS = 64
 # g <= 1 and k_mem <= 1 (all enforced by validate), one hop takes a residue
 # bounded by r to less than 3r + 1.5 vref, so the seven hops of a memoryless
 # sample stay below 3^7 (1e6 + 1) vref, about 2.2e9 vref, far from overflow.
-# With amplifier memory the hops compound from sample to sample, and a
-# pairing that hands a late stage's output to an early stage can still
-# overflow; ``_decide`` then treats a NaN residue as sub_adc_decide does.
+# Amplifier memory compounds the hops from sample to sample and can still
+# overflow; ``simulate`` then raises, naming the first non-finite sample.
 INPUT_LIMIT_VREF = 1e6
 
 _MAX_FLOAT = float(np.finfo(np.float64).max)
@@ -148,7 +148,6 @@ class SimulationResult:
 
     decisions has shape (n, 6) with values in {-1, 0, +1}; flash has shape
     (n,) with values in {0..3}; residues has shape (n, 7) when recorded.
-    The first ``warmup`` entries were produced while the pipe was filling.
     sweeps is the most array sweeps any block took (1 when memoryless) and
     stepped_samples the samples finished one at a time by ``step``.
     """
@@ -158,7 +157,6 @@ class SimulationResult:
     flash: np.ndarray
     residues: np.ndarray | None
     fs: float
-    warmup: int = PIPELINE_LATENCY_SAMPLES
     sweeps: int = 0
     stepped_samples: int = 0
 
@@ -209,8 +207,6 @@ class PipelineEngine:
             self._g.append(g)
             self._e.append(e)
             self._kmem.append(amp.ota.k_mem)
-        self._two_g = [2.0 * (1.0 + st.gain_mismatch) for st in c.stages]
-        self._dref = [(1.0 + st.dac_mismatch) * vref for st in c.stages]
         self._memoryless = self._reset or all(k == 0.0 for k in self._kmem)
         # t_j: the smallest float at which sub_adc_decide reaches j, found
         # from the real-valued flips as guesses
@@ -254,7 +250,7 @@ class PipelineEngine:
             st = c.stages[k - 1]
             u = prev[k - 1]
             d = sub_adc_decide(u, st, self.vref)
-            target = self._two_g[k - 1] * u - d * self._dref[k - 1]
+            target = mdac_residue(u, d, st, self.vref)
             slot = self._slot_of[k]
             v_init = 0.0 if self._reset else self._kmem[k] * state.ota_last[slot]
             out = settle_value(target, v_init, self._g[k], self._e[k])
@@ -278,8 +274,9 @@ class PipelineEngine:
         block repeats it until its residues reach a bitwise fixed point, and
         ``step`` finishes whatever has not converged after ``MAX_SWEEPS``
         sweeps (see the module docstring). Comparators are decided against
-        exact precomputed thresholds. Non-finite samples and samples beyond
-        ``INPUT_LIMIT_VREF`` times vref are rejected, naming the first.
+        exact precomputed thresholds. Raises, naming the first bad sample, on
+        non-finite input, input beyond ``INPUT_LIMIT_VREF`` times vref, and
+        residues that overflow to non-finite values.
         """
         v = np.asarray(waveform, dtype=np.float64)
         if v.ndim != 1 or v.size == 0:
@@ -304,6 +301,12 @@ class PipelineEngine:
             cols = buf[:, :b1 - b0 + 1]
             block_sweeps, block_stepped = self._block(v[b0:b1], cols, decisions[b0:b1],
                                                       flash[b0:b1])
+            # Only memory runs can overflow (INPUT_LIMIT_VREF), and there a
+            # non-finite output stays on its amplifier, since 0.0 * NaN is
+            # NaN: a block with a finite last column is finite throughout.
+            if not np.isfinite(cols[:, -1]).all():
+                i = b0 + int((~np.isfinite(cols[:, 1:])).any(axis=0).argmax())
+                raise ValueError(f"residues overflow: non-finite residue at sample {i}")
             sweeps = max(sweeps, block_sweeps)
             stepped += block_stepped
             if residues is not None:
@@ -347,7 +350,7 @@ class PipelineEngine:
         for k in range(1, N_STAGES + 1):
             u = cols[k - 1, start:-1]
             d = self._decide(k, u)
-            target = self._two_g[k - 1] * u - d * self._dref[k - 1]
+            target = mdac_residue(u, d, self.config.stages[k - 1], self.vref)
             first = self._amplify(k, target, start, cols, first)
             decisions[start:, k - 1] = d
         return first
@@ -355,7 +358,6 @@ class PipelineEngine:
     def _decide(self, k: int, u: np.ndarray) -> np.ndarray:
         """Stage k's decisions on residues u: sub_adc_decide elementwise."""
         t0, t1 = self._sub_thresholds[k - 1]
-        # written so that a NaN residue gives 0, as in sub_adc_decide
         return (u >= t1).view(np.int8) - (u < t0).view(np.int8)
 
     def _flash_decide(self, u: np.ndarray) -> np.ndarray:
@@ -388,21 +390,15 @@ class PipelineEngine:
         for i in range(state.n, v.size):
             decisions[i, :], flash[i], residues[i, :] = self.step(float(v[i]), state)
 
-    def _simulate_stepped(self, v: np.ndarray, record_residues: bool) -> SimulationResult:
+    def _simulate_stepped(self, v: np.ndarray) -> SimulationResult:
         """The sequential reference: ``step`` over every sample."""
         n = v.size
         decisions = np.empty((n, N_STAGES), dtype=np.int8)
         flash = np.empty(n, dtype=np.int8)
         residues = np.empty((n, N_STAGES + 1), dtype=np.float64)
         self._step_through(v, self.new_state(), decisions, flash, residues)
-        return SimulationResult(vin=v, decisions=decisions, flash=flash,
-                                residues=residues if record_residues else None,
+        return SimulationResult(vin=v, decisions=decisions, flash=flash, residues=residues,
                                 fs=self.config.clock.fs, stepped_samples=n)
-
-
-def simulate(waveform, config: AdcConfig, record_residues: bool = True) -> SimulationResult:
-    """One-shot batch run with a fresh engine."""
-    return PipelineEngine(config).simulate(waveform, record_residues=record_residues)
 
 
 def settle_report(config: AdcConfig) -> list[SettleRow]:

@@ -9,9 +9,7 @@ contributions gives two closed forms:
 
 The LSB here is interpreted at the full converter resolution for every
 stage, which is what collapses the requirement to a single gain and a single
-bandwidth number. The relaxed per-stage variant (each later stage resolves
-fewer remaining bits) is available through :func:`relaxed_budgets` but is
-not the default.
+bandwidth number.
 """
 
 from __future__ import annotations
@@ -19,7 +17,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from .config import AdcConfig, N_BITS, gain_to_db, set_param, validate
@@ -84,14 +82,6 @@ def budget_from_config(config: AdcConfig, n_bits: int = N_BITS,
     return Budget(n_bits=n_bits, err_fraction=err_fraction,
                   beta=config.stages[0].ota.beta,
                   t_settle=config.clock.t_settle)
-
-
-def relaxed_budgets(b: Budget, n_stages: int = 6) -> list[Budget]:
-    """Optional per-stage budgets: stage k only needs the resolution still unresolved.
-
-    Stage k (1-based) gets n_bits - (k - 1) effective bits, floored at 2.
-    """
-    return [replace(b, n_bits=max(2, b.n_bits - k)) for k in range(n_stages)]
 
 
 # ---------------------------------------------------------------------------

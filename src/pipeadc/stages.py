@@ -1,32 +1,17 @@
 """Single-stage analog behavior: comparator decisions, MDAC residue law, amplifier settling.
 
 Everything here is a pure function of its arguments; the pipeline engine owns
-all state. The functions accept plain floats; the decision and residue
-formulas also broadcast over numpy arrays, which the engine's vectorized path
-relies on.
+all state. The comparator decisions take one float each; the engine decides
+whole arrays by comparing against thresholds derived from these functions.
+The residue and settling laws work elementwise on floats and numpy arrays
+alike, and every engine path calls them, so each is written once.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .config import ClockParams, OtaParams, StageParams
-
-
-@dataclass(frozen=True)
-class SettleInput:
-    """One amplification event.
-
-    v_target_in is the ideal residue the amplifier should reach, v_init the
-    voltage already sitting on its output when the hold phase starts, and t
-    the time allowed for settling (t >= 0).
-    """
-
-    v_target_in: float
-    v_init: float
-    ota: OtaParams
-    t: float
+from .config import OtaParams, StageParams
 
 
 def settle_coefficients(ota: OtaParams, t: float) -> tuple[float, float]:
@@ -56,14 +41,6 @@ def settle_value(v_target, v_init, g: float, e: float):
     return v_static + (v_init - v_static) * e
 
 
-def ota_settle(s: SettleInput) -> float:
-    """Settled amplifier output after time t (see :func:`settle_coefficients`)."""
-    if s.t < 0.0:
-        raise ValueError("t must be >= 0")
-    g, e = settle_coefficients(s.ota, s.t)
-    return settle_value(s.v_target_in, s.v_init, g, e)
-
-
 def comparator_diff(vr_p, vr_n, vi_p, vi_n):
     """Pre-amplifier differential voltage of the switched-capacitor comparator.
 
@@ -91,11 +68,13 @@ def sub_adc_decide(vin: float, stage: StageParams, vref: float) -> int:
     return 0
 
 
-def mdac_residue(vin: float, d: int, stage: StageParams, vref: float) -> float:
-    """Ideal multiply-by-2 residue before settling: 2*(1+eps_g)*vin - d*(1+eps_d)*vref."""
-    if d not in (-1, 0, 1):
-        raise ValueError(f"d must be -1, 0 or +1, got {d}")
-    return 2.0 * (1.0 + stage.gain_mismatch) * vin - d * ((1.0 + stage.dac_mismatch) * vref)
+def mdac_residue(vin, d, stage: StageParams, vref: float):
+    """Ideal multiply-by-2 residue before settling: 2*(1+eps_g)*vin - d*(1+eps_d)*vref.
+
+    d in {-1, 0, +1} is the decision on vin. Elementwise on arrays; every
+    engine path calls it, so all share its float operations and their order.
+    """
+    return (2.0 * (1.0 + stage.gain_mismatch)) * vin - d * ((1.0 + stage.dac_mismatch) * vref)
 
 
 def flash2b(vin: float, offsets, vref: float) -> int:
@@ -111,12 +90,3 @@ def flash2b(vin: float, offsets, vref: float) -> int:
             code += 1
     return code
 
-
-def sha_hold(vin: float, sha: StageParams, clock: ClockParams) -> float:
-    """Sample-and-hold output: the amplifier settles toward vin itself.
-
-    The hold phase closes a unity feedback loop around the SHA amplifier
-    (its OtaParams carry beta = 1 unless deliberately overridden), starting
-    from a reset output node.
-    """
-    return ota_settle(SettleInput(v_target_in=vin, v_init=0.0, ota=sha.ota, t=clock.t_settle))

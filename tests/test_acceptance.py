@@ -11,11 +11,12 @@ import numpy as np
 import pytest
 
 from pipeadc import (Budget, CodeStream, OtaParams, PIPELINE_LATENCY_SAMPLES, PipelineEngine,
-                     SettleInput, Waveform, coherent_frequency, degraded_config,
-                     digitize, generate, ideal_config, ideal_quantize, min_dc_gain,
-                     min_gbw, ota_settle, ramp_linearity, settle_report,
-                     settling_fit_config, sndr_sfdr_enob, spectrum)
+                     Waveform, coherent_frequency, degraded_config, digitize, generate,
+                     ideal_config, ideal_quantize, min_dc_gain, min_gbw, ramp_linearity,
+                     settle_coefficients, settle_report, settling_fit_config,
+                     sndr_sfdr_enob, spectrum)
 from pipeadc.config import set_param
+from pipeadc.stages import settle_value
 
 VREF = 0.6
 NFFT = 4096
@@ -178,7 +179,8 @@ def test_criterion_6_settling_analytics():
         gbw = 10.0 ** rng.uniform(6, 10)
         t = 10.0 ** rng.uniform(-12, -7)
         target = rng.uniform(-1.0, 1.0)
-        got = ota_settle(SettleInput(target, 0.0, OtaParams(a0=a0, gbw=gbw, beta=beta), t))
+        got = settle_value(target, 0.0,
+                           *settle_coefficients(OtaParams(a0=a0, gbw=gbw, beta=beta), t))
         v_static = (beta * a0) / (1.0 + beta * a0) * target
         tau = 1.0 / (2.0 * math.pi * beta * gbw)
         want = v_static * (1.0 - math.exp(-t / tau))
@@ -205,7 +207,7 @@ def test_criterion_7_reset_phase():
     wave = generate(Waveform(kind="sine", length=512, amplitude=VREF,
                              frequency=base.clock.fs / 16.0), base.clock)
     on_run = PipelineEngine(base).simulate(wave)
-    off_run = PipelineEngine(clean)._simulate_stepped(np.asarray(wave), True)
+    off_run = PipelineEngine(clean)._simulate_stepped(np.asarray(wave))
     identical = (np.array_equal(on_run.decisions, off_run.decisions)
                  and np.array_equal(on_run.flash, off_run.flash)
                  and np.array_equal(on_run.residues, off_run.residues))

@@ -2,12 +2,14 @@ import math
 from dataclasses import replace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from pipeadc import (AdcConfig, ClockParams, ConfigError, OtaParams, StageParams,
-                     db_to_gain, default_config, degraded_config, ideal_config,
-                     parse_config_text, preset_config, set_param, settling_fit_config,
-                     validate, with_mismatch)
-from pipeadc.config import config_to_text
+from pipeadc import (AdcConfig, ClockParams, ConfigError, OtaParams, ReferenceConfig,
+                     StageParams, db_to_gain, default_config, degraded_config, gain_to_db,
+                     ideal_config, parse_config_text, preset_config, set_param,
+                     settling_fit_config, validate, with_mismatch)
+from pipeadc.config import N_STAGES, config_to_text
 
 
 def test_default_config_accepted():
@@ -62,11 +64,46 @@ def test_error_reports_field_path():
     assert str(err.value).startswith("stages[2].ota.beta")
 
 
-def test_roundtrip_identity():
-    for cfg in (default_config(), ideal_config(), degraded_config(seed=3),
-                settling_fit_config()):
-        again = parse_config_text(config_to_text(cfg))
-        assert again == cfg
+def _finite(lo=-1e3, hi=1e3):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+_otas = st.builds(OtaParams,
+                  a0=st.one_of(st.floats(1.0, 1e12), st.just(math.inf)),
+                  gbw=st.one_of(st.floats(1.0, 1e15, exclude_min=True), st.just(math.inf)),
+                  beta=st.floats(0.0, 1.0, exclude_min=True),
+                  k_mem=st.floats(0.0, 1.0))
+_stages = st.builds(StageParams,
+                    gain_mismatch=st.floats(-0.5, 0.5, exclude_min=True, exclude_max=True),
+                    dac_mismatch=st.floats(-0.5, 0.5, exclude_min=True, exclude_max=True),
+                    cmp_offset_hi=_finite(), cmp_offset_lo=_finite(), ota=_otas)
+_configs = st.builds(
+    AdcConfig,
+    reference=st.builds(ReferenceConfig, vref=st.floats(0.0, 1e3, exclude_min=True)),
+    clock=st.builds(ClockParams, fs=st.floats(0.0, 1e12, exclude_min=True),
+                    settle_fraction=st.floats(0.0, 0.5, exclude_min=True),
+                    reset_enabled=st.booleans()),
+    sha=_stages,
+    stages=st.lists(_stages, min_size=N_STAGES, max_size=N_STAGES).map(tuple),
+    flash_offsets=st.tuples(_finite(), _finite(), _finite()),
+    rng_seed=st.integers(-2 ** 70, 2 ** 70))
+
+
+@settings(derandomize=True, deadline=None, max_examples=60, database=None)
+@given(cfg=_configs)
+@example(cfg=default_config())
+@example(cfg=ideal_config())
+@example(cfg=degraded_config(seed=3))
+@example(cfg=settling_fit_config())
+def test_roundtrip_identity(cfg):
+    assert validate(cfg) is cfg
+    assert parse_config_text(config_to_text(cfg)) == cfg
+
+
+def test_reference_vcm_is_unknown_key():
+    # the model is fully differential: a common-mode level is not a parameter
+    with pytest.raises(ConfigError, match=r"unknown key: reference\.vcm"):
+        parse_config_text("reference.vref = 0.6\nreference.vcm = 0.9\n")
 
 
 def test_partial_file_overrides_defaults():
@@ -100,7 +137,7 @@ def test_malformed_line_rejected():
 def test_a0_db_alias():
     c = set_param(default_config(), "sha.ota.a0_db", 60.0)
     assert c.sha.ota.a0 == pytest.approx(1000.0, rel=1e-12)
-    assert c.sha.ota.a0_db == pytest.approx(60.0, abs=1e-9)
+    assert gain_to_db(c.sha.ota.a0) == pytest.approx(60.0, abs=1e-9)
 
 
 def test_ota_broadcast_path():
@@ -133,7 +170,7 @@ def test_presets_registry():
 
 def test_preset_parameter_anchors():
     d = default_config()
-    assert d.sha.ota.a0_db == pytest.approx(85.0, abs=1e-9)
+    assert gain_to_db(d.sha.ota.a0) == pytest.approx(85.0, abs=1e-9)
     assert d.sha.ota.gbw == 2.5e9
     deg = degraded_config(seed=0)
     assert deg.stages[0].ota.a0 == pytest.approx(db_to_gain(67.0), rel=1e-12)

@@ -1,11 +1,39 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from pipeadc import (CorrectionInput, PIPELINE_LATENCY_SAMPLES, align_and_correct,
-                     correct_stream, digitize, ideal_config, ideal_quantize)
+from pipeadc import (PIPELINE_LATENCY_SAMPLES, PipelineEngine, correct_stream, digitize,
+                     ideal_config, ideal_quantize)
 from pipeadc.config import set_param
 
 VREF = 0.6
+N_STAGES = 6
+
+
+@dataclass(frozen=True)
+class CorrectionInput:
+    """Time-aligned decisions for one input sample: six ternary digits plus the flash code."""
+
+    d: tuple[int, ...]
+    d_flash: int
+
+
+def align_and_correct(c: CorrectionInput) -> int:
+    """Scalar reference for correct_stream: one sample's redundant decisions to a code."""
+    if len(c.d) != N_STAGES:
+        raise ValueError(f"expected {N_STAGES} stage decisions, got {len(c.d)}")
+    acc = 128 + (int(c.d_flash) - 2)
+    if not 0 <= c.d_flash <= 3:
+        raise ValueError(f"d_flash must be in 0..3, got {c.d_flash}")
+    for i, d in enumerate(c.d, start=1):
+        if d not in (-1, 0, 1):
+            raise ValueError(f"stage decision must be -1, 0 or +1, got {d}")
+        acc += d * (1 << (7 - i))
+    return min(255, max(0, acc))
 
 
 def test_midscale_code():
@@ -54,7 +82,6 @@ def test_stream_alignment_against_scalar_correction():
     cfg = ideal_config()
     vin = 0.3 * VREF
     wave = np.concatenate([[vin], np.zeros(PIPELINE_LATENCY_SAMPLES)])
-    from pipeadc import PipelineEngine
     result = PipelineEngine(cfg).simulate(wave)
     stream = correct_stream(result.decisions, result.flash, cfg.clock.fs)
     n = PIPELINE_LATENCY_SAMPLES
@@ -64,23 +91,46 @@ def test_stream_alignment_against_scalar_correction():
     assert stream.codes[n] == manual == ideal_quantize(vin, VREF)
 
 
-def test_monotonic_transfer_function():
-    # dense sweep: code is nondecreasing in the input
-    cfg = ideal_config()
-    v = np.linspace(-VREF, VREF, 2 ** 16)
+@settings(derandomize=True, deadline=None, max_examples=100, database=None)
+@given(v=arrays(np.float64, st.integers(2, 2000), elements=st.floats(-VREF, VREF)))
+@example(v=np.linspace(-VREF, VREF, 2 ** 16))  # dense sweep over every code
+def test_monotonic_transfer_function(v):
+    # code is nondecreasing in the input
+    v = np.sort(v)
     wave = np.concatenate([v, np.zeros(PIPELINE_LATENCY_SAMPLES)])
-    codes = digitize(wave, cfg).codes[PIPELINE_LATENCY_SAMPLES:]
+    codes = digitize(wave, ideal_config()).codes[PIPELINE_LATENCY_SAMPLES:]
     assert np.all(np.diff(codes) >= 0)
 
 
-def test_single_threshold_shift_absorbed():
-    # one comparator off by vref/8 must not change a single output code
-    cfg = ideal_config()
-    v = np.linspace(-VREF, VREF, 4096)
-    wave = np.concatenate([v, np.zeros(PIPELINE_LATENCY_SAMPLES)])
-    base = digitize(wave, cfg).codes
-    shifted = set_param(cfg, "stages[2].cmp_offset_hi", VREF / 8.0)
-    assert np.array_equal(digitize(wave, shifted).codes, base)
+SHIFT_WAVE = np.concatenate([np.linspace(-VREF, VREF, 8192), np.zeros(PIPELINE_LATENCY_SAMPLES)])
+SHIFT_BASE = digitize(SHIFT_WAVE, ideal_config()).codes
+
+
+@settings(derandomize=True, deadline=None, max_examples=150, database=None)
+@given(stage=st.integers(0, 5), comparator=st.sampled_from(["hi", "lo"]),
+       offset=st.floats(-VREF / 8, VREF / 8))
+@example(stage=2, comparator="hi", offset=VREF / 8)
+def test_single_threshold_shift_absorbed(stage, comparator, offset):
+    # any one stage comparator off by up to vref/8 must not change a single
+    # output code; the flash has no redundancy, so its thresholds are not drawn
+    shifted = set_param(ideal_config(), f"stages[{stage}].cmp_offset_{comparator}", offset)
+    assert np.array_equal(digitize(SHIFT_WAVE, shifted).codes, SHIFT_BASE)
+
+
+@settings(derandomize=True, deadline=None, max_examples=50, database=None)
+@given(decisions=arrays(np.int8, st.tuples(st.integers(1, 40), st.just(N_STAGES)),
+                        elements=st.integers(-1, 1)),
+       data=st.data())
+def test_correct_stream_matches_scalar_oracle(decisions, data):
+    # every code, warm-up included, is the scalar correction of the decisions
+    # that entered the pipe 7 - k steps earlier (zero before the first sample)
+    n = len(decisions)
+    flash = data.draw(arrays(np.int8, n, elements=st.integers(0, 3)))
+    stream = correct_stream(decisions, flash, 1.0)
+    for i in range(n):
+        d = tuple(int(decisions[i - 7 + k, k - 1]) if i - 7 + k >= 0 else 0
+                  for k in range(1, N_STAGES + 1))
+        assert stream.codes[i] == align_and_correct(CorrectionInput(d=d, d_flash=int(flash[i])))
 
 
 def test_code_stream_metadata():

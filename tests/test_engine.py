@@ -8,7 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from pipeadc import (PIPELINE_LATENCY_SAMPLES, PipelineEngine, StageParams, default_config,
                      degraded_config, digitize, flash2b, ideal_config, settle_report,
-                     settling_fit_config, simulate, sub_adc_decide)
+                     settling_fit_config, sub_adc_decide)
 from pipeadc import engine
 from pipeadc.config import set_param
 from pipeadc.engine import MAX_SWEEPS
@@ -32,7 +32,7 @@ STEP_TABLE_MV = {"SHA": 599.7, "Stage1": 599.2, "Stage2": 598.5, "Stage3": 596.3
 
 
 def test_constant_zero_stream():
-    r = simulate(np.zeros(32), ideal_config())
+    r = PipelineEngine(ideal_config()).simulate(np.zeros(32))
     settled = r.decisions[PIPELINE_LATENCY_SAMPLES:]
     assert np.all(settled == 0)
     # zero sits on the flash 0-threshold; the tie takes the lower cell
@@ -41,7 +41,7 @@ def test_constant_zero_stream():
 
 def test_empty_waveform_rejected():
     with pytest.raises(ValueError, match="empty"):
-        simulate(np.array([]), ideal_config())
+        PipelineEngine(ideal_config()).simulate(np.array([]))
 
 
 @pytest.mark.parametrize("bad,index", [(float("nan"), 1), (float("inf"), 1), (-float("inf"), 3)])
@@ -59,31 +59,30 @@ def test_over_range_input_rejected():
     wave = np.zeros(12)
     wave[:4] = 1e308, 1e308, -0.1, 0.0
     with pytest.raises(ValueError, match="input sample at index 0 is out of range"):
-        simulate(wave, ideal_config())
+        PipelineEngine(ideal_config()).simulate(wave)
     wave = np.zeros(12)
     wave[3] = -1.000001e6 * VREF
     wave[5] = float("nan")  # only the first bad index is named
     with pytest.raises(ValueError, match="input sample at index 3 is out of range"):
-        simulate(wave, degraded_config(seed=1))
+        PipelineEngine(degraded_config(seed=1)).simulate(wave)
     # the limit itself is accepted and cannot overflow
     wave = np.array([1e6, -1e6, 0.0, 1e6, 0.3]) * VREF
     with np.errstate(over="raise", invalid="raise"):
         for cfg in (ideal_config(), degraded_config(seed=2)):
             eng = PipelineEngine(cfg)
-            assert_bit_identical(eng.simulate(wave), eng._simulate_stepped(wave, True))
+            assert_bit_identical(eng.simulate(wave), eng._simulate_stepped(wave))
 
 
 def test_single_sample_run():
-    r = simulate(np.array([0.25]), ideal_config())
+    r = PipelineEngine(ideal_config()).simulate(np.array([0.25]))
     assert len(r.flash) == 1
-    assert r.warmup == PIPELINE_LATENCY_SAMPLES
 
 
 def test_determinism_bit_identical():
     cfg = degraded_config(seed=9)
     wave = np.sin(np.linspace(0, 40, 500)) * VREF
-    a = simulate(wave, cfg)
-    b = simulate(wave, cfg)
+    a = PipelineEngine(cfg).simulate(wave)
+    b = PipelineEngine(cfg).simulate(wave)
     assert np.array_equal(a.decisions, b.decisions)
     assert np.array_equal(a.flash, b.flash)
     assert np.array_equal(a.residues, b.residues)
@@ -95,7 +94,7 @@ def test_vectorized_path_matches_stepped_path():
     eng = PipelineEngine(cfg)
     wave = np.sin(np.linspace(0, 11, 300)) * 0.55
     fast = eng.simulate(wave)
-    slow = eng._simulate_stepped(np.asarray(wave, dtype=np.float64), True)
+    slow = eng._simulate_stepped(np.asarray(wave, dtype=np.float64))
     assert_bit_identical(fast, slow)
     assert (fast.sweeps, fast.stepped_samples) == (1, 0)
     assert (slow.sweeps, slow.stepped_samples) == (0, 300)
@@ -120,7 +119,7 @@ def test_relaxation_matches_stepped_property(wave, k_mem, gbw, seed, order, rese
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(engine, "BLOCK_SAMPLES", block)
         fast = eng.simulate(wave)
-    assert_bit_identical(fast, eng._simulate_stepped(wave, True))
+    assert_bit_identical(fast, eng._simulate_stepped(wave))
     assert 1 <= fast.sweeps <= MAX_SWEEPS
     if reset or not any(k_mem):
         assert fast.sweeps == 1
@@ -138,7 +137,7 @@ def test_relaxation_hits_sweep_cap_and_stays_exact():
     fast = eng.simulate(wave)
     assert fast.sweeps == MAX_SWEEPS
     assert 0 < fast.stepped_samples < wave.size
-    assert_bit_identical(fast, eng._simulate_stepped(wave, True))
+    assert_bit_identical(fast, eng._simulate_stepped(wave))
     lean = eng.simulate(wave, record_residues=False)
     assert lean.residues is None
     assert np.array_equal(lean.decisions, fast.decisions)
@@ -160,7 +159,7 @@ def test_sweep_cap_in_a_middle_block_stays_exact(monkeypatch):
     # run alone steps the same samples, and the other blocks step none
     alone = eng.simulate(sine)
     assert 0 < fast.stepped_samples == alone.stepped_samples < block
-    assert_bit_identical(fast, eng._simulate_stepped(wave, True))
+    assert_bit_identical(fast, eng._simulate_stepped(wave))
     lean = eng.simulate(wave, record_residues=False)
     assert np.array_equal(lean.decisions, fast.decisions)
     assert np.array_equal(lean.flash, fast.flash)
@@ -168,21 +167,28 @@ def test_sweep_cap_in_a_middle_block_stays_exact(monkeypatch):
 
 def test_overflowing_memory_run_matches_stepped(monkeypatch):
     # With stage 1 sharing its amplifier with stage 6, a 1.5 vref input grows
-    # about 30 % a sample until residues overflow to inf and NaN; the sweeps
-    # must still decide a NaN residue as sub_adc_decide does (d = 0). Blocks
-    # of MAX_SWEEPS samples keep the cap fallback from deciding instead.
-    monkeypatch.setattr(engine, "BLOCK_SAMPLES", MAX_SWEEPS)
+    # about 30 % a sample until residues overflow to inf and NaN (at sample
+    # 2390 here). simulate must refuse the run, naming the sample where the
+    # stepped oracle first goes non-finite, and match the oracle bit for bit
+    # before it. Blocks of MAX_SWEEPS samples put that sample in a late block
+    # and keep the cap fallback from computing it; one block may hit the cap.
     eng = PipelineEngine(memory_config(seed=0, k_mem=1.0, gbw=100e6),
                          pairing=((1, 6), (2, 3), (4, 5)))
     wave = np.full(2500, 1.5 * VREF)
     with np.errstate(over="ignore", invalid="ignore"):
-        fast = eng.simulate(wave)
-    slow = eng._simulate_stepped(wave, True)
-    assert np.isnan(fast.residues).any()
-    assert fast.stepped_samples == 0
-    assert np.array_equal(fast.decisions, slow.decisions)
-    assert np.array_equal(fast.flash, slow.flash)
-    assert np.array_equal(fast.residues, slow.residues, equal_nan=True)
+        slow = eng._simulate_stepped(wave)
+        bad = ~np.isfinite(slow.residues).all(axis=1)
+        first = int(bad.argmax())
+        assert 0 < first and bad[first:].all()
+        for block in (MAX_SWEEPS, engine.BLOCK_SAMPLES):
+            monkeypatch.setattr(engine, "BLOCK_SAMPLES", block)
+            with pytest.raises(ValueError, match=f"non-finite residue at sample {first}$"):
+                eng.simulate(wave)
+    prefix = eng.simulate(wave[:first])
+    assert np.isfinite(prefix.residues).all()
+    assert np.array_equal(prefix.decisions, slow.decisions[:first])
+    assert np.array_equal(prefix.flash, slow.flash[:first])
+    assert np.array_equal(prefix.residues.view(np.int64), slow.residues[:first].view(np.int64))
 
 
 def test_memory_run_converges_in_few_sweeps():
@@ -191,15 +197,15 @@ def test_memory_run_converges_in_few_sweeps():
     fast = eng.simulate(wave)
     assert 1 < fast.sweeps < MAX_SWEEPS
     assert fast.stepped_samples == 0
-    assert_bit_identical(fast, eng._simulate_stepped(wave, True))
+    assert_bit_identical(fast, eng._simulate_stepped(wave))
 
 
 def test_reset_clears_all_memory():
     # with reset on, later outputs cannot depend on earlier inputs
     cfg = set_param(default_config(), "ota.k_mem", 1.0)  # memory knob armed but reset wins
     tail = np.linspace(-0.5, 0.5, 40)
-    a = simulate(np.concatenate([[0.59], tail]), cfg)
-    b = simulate(np.concatenate([[-0.59], tail]), cfg)
+    a = PipelineEngine(cfg).simulate(np.concatenate([[0.59], tail]))
+    b = PipelineEngine(cfg).simulate(np.concatenate([[-0.59], tail]))
     assert np.array_equal(a.residues[8:], b.residues[8:])
 
 
@@ -207,8 +213,8 @@ def test_memory_leaks_without_reset():
     cfg = set_param(set_param(default_config(), "clock.reset_enabled", False),
                     "ota.k_mem", 0.5)
     tail = np.linspace(-0.5, 0.5, 40)
-    a = simulate(np.concatenate([[0.59], tail]), cfg)
-    b = simulate(np.concatenate([[-0.59], tail]), cfg)
+    a = PipelineEngine(cfg).simulate(np.concatenate([[0.59], tail]))
+    b = PipelineEngine(cfg).simulate(np.concatenate([[-0.59], tail]))
     assert not np.array_equal(a.residues[8:], b.residues[8:])
 
 
@@ -218,7 +224,7 @@ def test_kmem_zero_equals_reset_enabled_bitwise():
     wave = np.sin(np.linspace(0, 9, 400)) * VREF
     a = PipelineEngine(base).simulate(wave)
     # force the sequential path so the equivalence is not just shared code
-    b = PipelineEngine(no_reset)._simulate_stepped(np.asarray(wave), True)
+    b = PipelineEngine(no_reset)._simulate_stepped(np.asarray(wave))
     assert np.array_equal(a.decisions, b.decisions)
     assert np.array_equal(a.flash, b.flash)
     assert np.array_equal(a.residues, b.residues)
@@ -363,6 +369,6 @@ def test_settle_report_halved_gain_strictly_worse():
 
 
 def test_record_residues_toggle():
-    r = simulate(np.zeros(10), ideal_config(), record_residues=False)
+    r = PipelineEngine(ideal_config()).simulate(np.zeros(10), record_residues=False)
     assert r.residues is None
     assert len(r.flash) == 10

@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from pipeadc import (Budget, OtaParams, SettleInput, budget_from_config,
-                     default_config, ideal_config, min_dc_gain, min_gbw,
-                     ota_settle, relaxed_budgets, sweep)
+from pipeadc import (Budget, OtaParams, budget_from_config, default_config, ideal_config,
+                     min_dc_gain, min_gbw, settle_coefficients, sweep)
 import pipeadc.solver
 from pipeadc.config import set_param
+from pipeadc.stages import settle_value
 
 T_SETTLE = 0.387 / 166.6e6
 
@@ -68,11 +68,6 @@ def test_budget_from_config():
     assert b.t_settle == pytest.approx(T_SETTLE, rel=1e-15)
 
 
-def test_relaxed_budgets_decay():
-    bs = relaxed_budgets(Budget(n_bits=8))
-    assert [b.n_bits for b in bs] == [8, 7, 6, 5, 4, 3]
-
-
 def test_budget_consistency_with_settling():
     # an amplifier built exactly to the solved minimums settles a worst-case
     # full-swing residue to within half an LSB
@@ -80,7 +75,7 @@ def test_budget_consistency_with_settling():
     ota = OtaParams(a0=min_dc_gain(b).linear, gbw=min_gbw(b), beta=0.5)
     vref = 0.6
     lsb = 2 * vref / 256.0
-    settled = ota_settle(SettleInput(v_target_in=vref, v_init=0.0, ota=ota, t=T_SETTLE))
+    settled = settle_value(vref, 0.0, *settle_coefficients(ota, T_SETTLE))
     assert abs(settled - vref) <= 0.5 * lsb
 
 

@@ -3,13 +3,24 @@ import math
 import numpy as np
 import pytest
 
-from pipeadc import (ClockParams, OtaParams, SettleInput, StageParams,
-                     comparator_diff, flash2b, mdac_residue, ota_settle,
-                     sha_hold, sub_adc_decide)
+from pipeadc import (ClockParams, OtaParams, StageParams, comparator_diff, flash2b,
+                     mdac_residue, settle_coefficients, sub_adc_decide)
 from pipeadc.config import db_to_gain
+from pipeadc.stages import settle_value
 
 VREF = 0.6
 IDEAL_STAGE = StageParams()
+
+
+def settle(target, v_init, ota, t):
+    """Settled amplifier output after time t, as the engine computes it."""
+    g, e = settle_coefficients(ota, t)
+    return settle_value(target, v_init, g, e)
+
+
+def sha_hold(vin, sha, clock):
+    """SHA output: unity feedback settling toward vin from a reset output node."""
+    return settle(vin, 0.0, sha.ota, clock.t_settle)
 
 
 def settle_reference(target, v_init, a0, beta, gbw, t):
@@ -22,14 +33,14 @@ def settle_reference(target, v_init, a0, beta, gbw, t):
 def test_settle_asymptotic_static_value():
     # a0 = 1e6, beta = 0.5, huge t: output is v_static = (beta*a0/(1+beta*a0)) * 1 V
     ota = OtaParams(a0=1e6, gbw=1e6, beta=0.5)
-    out = ota_settle(SettleInput(v_target_in=1.0, v_init=0.0, ota=ota, t=1.0))
+    out = settle(1.0, 0.0, ota, 1.0)
     assert out == pytest.approx(0.999998, abs=1e-6)
 
 
 def test_settle_one_time_constant():
     ota = OtaParams(a0=1e5, gbw=800e6, beta=0.5)
     tau = 1.0 / (2.0 * math.pi * ota.beta * ota.gbw)
-    out = ota_settle(SettleInput(v_target_in=0.25, v_init=0.0, ota=ota, t=tau))
+    out = settle(0.25, 0.0, ota, tau)
     g = (ota.beta * ota.a0) / (1.0 + ota.beta * ota.a0)
     assert out == pytest.approx(0.25 * g * (1.0 - math.exp(-1.0)), rel=1e-12)
 
@@ -37,7 +48,7 @@ def test_settle_one_time_constant():
 def test_settle_zero_target_zero_init():
     ota = OtaParams(a0=1e4, gbw=1e9, beta=0.5)
     for t in (0.0, 1e-12, 1e-9, 1.0):
-        assert ota_settle(SettleInput(0.0, 0.0, ota, t)) == 0.0
+        assert settle(0.0, 0.0, ota, t) == 0.0
 
 
 def test_settle_matches_reference_on_grid():
@@ -49,7 +60,7 @@ def test_settle_matches_reference_on_grid():
         t = 10.0 ** rng.uniform(-12, -7)
         target = rng.uniform(-1.0, 1.0)
         v_init = rng.uniform(-1.0, 1.0)
-        got = ota_settle(SettleInput(target, v_init, OtaParams(a0, gbw, beta), t))
+        got = settle(target, v_init, OtaParams(a0, gbw, beta), t)
         want = settle_reference(target, v_init, a0, beta, gbw, t)
         assert got == pytest.approx(want, rel=1e-9, abs=1e-15)
 
@@ -63,8 +74,8 @@ def test_settle_monotone_toward_static_value():
         v_init = rng.uniform(-1, 1)
         v_static = 1.0 / (1.0 + 1.0 / (ota.beta * ota.a0)) * target
         t1, t2 = sorted(rng.uniform(0, 5e-9, size=2))
-        d1 = abs(ota_settle(SettleInput(target, v_init, ota, t1)) - v_static)
-        d2 = abs(ota_settle(SettleInput(target, v_init, ota, t2)) - v_static)
+        d1 = abs(settle(target, v_init, ota, t1) - v_static)
+        d2 = abs(settle(target, v_init, ota, t2) - v_static)
         assert d2 <= d1 + 1e-18
 
 
@@ -74,14 +85,9 @@ def test_static_error_matches_closed_form():
     for _ in range(300):
         ota = OtaParams(a0=10.0 ** rng.uniform(0.5, 8), gbw=1e9, beta=rng.uniform(0.05, 1.0))
         target = rng.choice([-1, 1]) * 10.0 ** rng.uniform(-3, 0)
-        settled = ota_settle(SettleInput(target, 0.0, ota, t=1.0))
+        settled = settle(target, 0.0, ota, 1.0)
         rel_err = abs(settled - target) / abs(target)
         assert rel_err == pytest.approx(1.0 / (1.0 + ota.beta * ota.a0), rel=1e-12)
-
-
-def test_settle_negative_time_rejected():
-    with pytest.raises(ValueError):
-        ota_settle(SettleInput(1.0, 0.0, OtaParams(), -1e-12))
 
 
 def test_infinite_amplifier_is_exact_passthrough():
@@ -164,11 +170,15 @@ def test_residue_mismatch_terms():
     stage = StageParams(gain_mismatch=0.01, dac_mismatch=-0.02)
     got = mdac_residue(0.1, -1, stage, VREF)
     assert got == pytest.approx(2.0 * 1.01 * 0.1 + 0.98 * VREF, rel=1e-12)
-
-
-def test_residue_rejects_bad_decision():
-    with pytest.raises(ValueError):
-        mdac_residue(0.0, 2, IDEAL_STAGE, VREF)
+    # the array form, as the engine's sweeps call it with int8 decisions,
+    # gives each element the scalar call's bits
+    rng = np.random.default_rng(5)
+    vin = rng.uniform(-2 * VREF, 2 * VREF, 5000)
+    d = rng.integers(-1, 2, vin.size).astype(np.int8)
+    got = mdac_residue(vin, d, stage, VREF)
+    want = np.array([mdac_residue(x, int(k), stage, VREF) for x, k in zip(vin.tolist(), d)])
+    assert got.dtype == np.float64
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_residue_bounded_with_ideal_decisions():
