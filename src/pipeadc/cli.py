@@ -65,12 +65,8 @@ def _cmd_simulate(args) -> int:
         if freq is None:
             freq, _ = coherent_frequency(fs, 4096, fs / 16.0)
         wave = Waveform(kind="sine", length=args.length, amplitude=amplitude, frequency=freq)
-    elif args.waveform == "ramp":
-        wave = Waveform(kind="ramp", length=args.length,
-                        v_low=args.v_low if args.v_low is not None else -vref,
-                        v_high=args.v_high if args.v_high is not None else vref)
-    elif args.waveform == "pulse":
-        wave = Waveform(kind="pulse", length=args.length,
+    elif args.waveform in ("ramp", "pulse"):
+        wave = Waveform(kind=args.waveform, length=args.length,
                         v_low=args.v_low if args.v_low is not None else -vref,
                         v_high=args.v_high if args.v_high is not None else vref)
     else:
@@ -116,8 +112,7 @@ def _cmd_spectrum(args) -> int:
                     amplitude=vref if args.amplitude is None else args.amplitude,
                     frequency=f_in)
     stream = digitize(generate(wave, config.clock), config)
-    report = sndr_sfdr_enob(spectrum(stream, args.nfft, window=args.window),
-                            signal_bin, n_harmonics=args.harmonics)
+    report = sndr_sfdr_enob(spectrum(stream, args.nfft, window=args.window), signal_bin)
     out = _out_dir(args)
     csv_path = reports.write_spectrum_csv(out / "spectrum.csv", report)
     reports.write_spectrum_plot(out / "spectrum.gp", csv_path.name)
@@ -200,7 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="target input frequency in Hz (snapped to a coherent bin)")
     p.add_argument("--amplitude", type=float, default=None, help="volts (default: vref)")
     p.add_argument("--window", choices=("rectangular", "hann"), default="rectangular")
-    p.add_argument("--harmonics", type=int, default=5)
     p.set_defaults(func=_cmd_spectrum)
 
     p = sub.add_parser("specs", help="minimum DC gain and GBW from the error budget")

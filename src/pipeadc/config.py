@@ -279,8 +279,8 @@ def with_mismatch(base: AdcConfig,
     for st in base.stages:
         stages.append(replace(
             st,
-            gain_mismatch=float(np.clip(rng.normal(0.0, gain_sigma), -clip, clip)),
-            dac_mismatch=float(np.clip(rng.normal(0.0, dac_sigma), -clip, clip)),
+            gain_mismatch=float(min(max(rng.normal(0.0, gain_sigma), -clip), clip)),
+            dac_mismatch=float(min(max(rng.normal(0.0, dac_sigma), -clip), clip)),
             cmp_offset_hi=float(rng.normal(0.0, offset_sigma)),
             cmp_offset_lo=float(rng.normal(0.0, offset_sigma)),
         ))

@@ -18,8 +18,8 @@ output (v_init = 0); without it, k_mem times the amplifier's previous settled
 output is left as the starting point, which is the memory effect the reset
 phase exists to kill.
 
-Blocks, thresholds and relaxation
----------------------------------
+Blocks and relaxation
+---------------------
 ``step`` is the sequential definition. ``simulate`` computes the same numbers
 with array sweeps down the chain, one block of ``BLOCK_SAMPLES`` samples at a
 time; a block starts from the residues the previous block settled last,
@@ -35,14 +35,9 @@ and, by induction on the sample index, is the sequential result. A sample
 only depends on earlier samples of the previous sweep, so the samples
 before the first one that changed are final and later sweeps recompute only
 the suffix. After ``MAX_SWEEPS`` sweeps ``step`` finishes the unconverged
-rest of the block.
-
-A sweep decides comparators by comparing residues against thresholds that
-are exact to the bit: ``PipelineEngine.__init__`` finds, for each decision
-level, the smallest float at which ``sub_adc_decide`` or ``flash2b`` reaches
-it. Float subtraction rounds monotonically, so each comparison inside those
-functions flips exactly once as the input rises, and comparing against the
-flip points gives their decisions for every finite input.
+rest of the block. ``step`` and the sweeps call the same stage laws,
+``sub_adc_decide``, ``mdac_residue``, ``flash2b`` and ``settle_value``, on
+floats and on arrays respectively.
 """
 
 from __future__ import annotations
@@ -80,52 +75,6 @@ MAX_SWEEPS = 64
 # Amplifier memory compounds the hops from sample to sample and can still
 # overflow; ``simulate`` then raises, naming the first non-finite sample.
 INPUT_LIMIT_VREF = 1e6
-
-_MAX_FLOAT = float(np.finfo(np.float64).max)
-
-
-def _ordered(x: float) -> int:
-    """Integer that orders like the float x (+0.0 and -0.0 share 0)."""
-    i = int(np.float64(x).view(np.int64))
-    return i if i >= 0 else -(i & 0x7FFF_FFFF_FFFF_FFFF)
-
-
-def _unordered(k: int) -> float:
-    """The float whose :func:`_ordered` is k."""
-    return float(np.uint64(k if k >= 0 else -k | 1 << 63).view(np.float64))
-
-
-def _first_true(pred, guess: float) -> float:
-    """Smallest finite float u with pred(u), for pred monotone in u (false, then true).
-
-    Steps from ``guess`` one float at a time, which finds the flip at once
-    for a closed-form guess, and bisects over the ordered bit patterns of the
-    finite floats when that does not. Returns -inf when pred holds at every
-    finite float and +inf when it holds at none.
-    """
-    u = min(max(guess, -_MAX_FLOAT), _MAX_FLOAT)
-    up = not pred(u)
-    for _ in range(4):
-        w = float(np.nextafter(u, np.inf if up else -np.inf))
-        if abs(w) > _MAX_FLOAT:
-            return w
-        if pred(w) == up:
-            return w if up else u
-        u = w
-    if pred(-_MAX_FLOAT):
-        return -np.inf
-    if not pred(_MAX_FLOAT):
-        return np.inf
-    # ordered keys: pred is false at lo and true at hi
-    lo, hi = (_ordered(u), _ordered(_MAX_FLOAT)) if up else (_ordered(-_MAX_FLOAT), _ordered(u))
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if pred(_unordered(mid)):
-            hi = mid
-        else:
-            lo = mid
-    return _unordered(hi)
-
 
 @dataclass
 class PipelineState:
@@ -172,7 +121,7 @@ class SettleRow:
 
 
 class PipelineEngine:
-    """Compiled form of one AdcConfig: per-amplifier settling coefficients and thresholds.
+    """Compiled form of one AdcConfig: per-amplifier settling coefficients and memory wiring.
 
     The engine itself is immutable after construction; sequential state lives
     in PipelineState objects, so one engine can serve many runs. Per-amplifier
@@ -185,7 +134,7 @@ class PipelineEngine:
             raise ValueError("pairing must cover stages 1..6 exactly once")
         c = self.config
         t = c.clock.t_settle
-        vref = self.vref = c.reference.vref
+        self.vref = c.reference.vref
         self._reset = c.clock.reset_enabled
         # slot 0 is the SHA amplifier; _last_user[slot] is the channel that
         # amplifies last on it within a step, whose output the next step sees
@@ -208,21 +157,6 @@ class PipelineEngine:
             self._e.append(e)
             self._kmem.append(amp.ota.k_mem)
         self._memoryless = self._reset or all(k == 0.0 for k in self._kmem)
-        # t_j: the smallest float at which sub_adc_decide reaches j, found
-        # from the real-valued flips as guesses
-        self._sub_thresholds = []
-        for st in c.stages:
-            hi = 0.25 * vref + st.cmp_offset_hi
-            lo = st.cmp_offset_lo - 0.25 * vref
-            self._sub_thresholds.append(tuple(
-                _first_true(lambda u, j=j, st=st: sub_adc_decide(u, st, vref) >= j, guess)
-                for j, guess in ((0, min(hi, lo)), (1, hi))))
-        # f_j: the smallest float at which flash2b reaches j
-        flips = sorted(thr + off for thr, off in zip((-0.5 * vref, 0.0, 0.5 * vref),
-                                                     c.flash_offsets))
-        self._flash_thresholds = tuple(
-            _first_true(lambda u, j=j: flash2b(u, c.flash_offsets, vref) >= j, guess)
-            for j, guess in enumerate(flips, start=1))
 
     def new_state(self) -> PipelineState:
         return PipelineState(ota_last=[0.0] * len(self._last_user))
@@ -273,10 +207,9 @@ class PipelineEngine:
         every k_mem zero) takes one array sweep; with amplifier memory a
         block repeats it until its residues reach a bitwise fixed point, and
         ``step`` finishes whatever has not converged after ``MAX_SWEEPS``
-        sweeps (see the module docstring). Comparators are decided against
-        exact precomputed thresholds. Raises, naming the first bad sample, on
-        non-finite input, input beyond ``INPUT_LIMIT_VREF`` times vref, and
-        residues that overflow to non-finite values.
+        sweeps (see the module docstring). Raises, naming the first bad
+        sample, on non-finite input, input beyond ``INPUT_LIMIT_VREF`` times
+        vref, and residues that overflow to non-finite values.
         """
         v = np.asarray(waveform, dtype=np.float64)
         if v.ndim != 1 or v.size == 0:
@@ -328,7 +261,7 @@ class PipelineEngine:
             # the first changed sample was computed from final inputs: it is final too
             start = min(self._sweep(v, start, decisions, cols) + 1, v.size)
             sweeps += 1
-        flash[:] = self._flash_decide(cols[N_STAGES, :-1])
+        flash[:] = flash2b(cols[N_STAGES, :-1], self.config.flash_offsets, self.vref)
         if start < v.size:
             state = PipelineState(residues=[float(x) for x in cols[:, start]],
                                   ota_last=[float(cols[ch, start]) for ch in self._last_user],
@@ -347,23 +280,13 @@ class PipelineEngine:
         bits (v.size when none did, or without memory).
         """
         first = self._amplify(0, v[start:], start, cols, v.size)
-        for k in range(1, N_STAGES + 1):
+        for k, st in enumerate(self.config.stages, start=1):
             u = cols[k - 1, start:-1]
-            d = self._decide(k, u)
-            target = mdac_residue(u, d, self.config.stages[k - 1], self.vref)
+            d = sub_adc_decide(u, st, self.vref)
+            target = mdac_residue(u, d, st, self.vref)
             first = self._amplify(k, target, start, cols, first)
             decisions[start:, k - 1] = d
         return first
-
-    def _decide(self, k: int, u: np.ndarray) -> np.ndarray:
-        """Stage k's decisions on residues u: sub_adc_decide elementwise."""
-        t0, t1 = self._sub_thresholds[k - 1]
-        return (u >= t1).view(np.int8) - (u < t0).view(np.int8)
-
-    def _flash_decide(self, u: np.ndarray) -> np.ndarray:
-        """Flash decisions on last-stage residues u: flash2b elementwise."""
-        f1, f2, f3 = self._flash_thresholds
-        return (u >= f1).view(np.int8) + (u >= f2).view(np.int8) + (u >= f3).view(np.int8)
 
     def _amplify(self, ch: int, target: np.ndarray, start: int, cols: np.ndarray,
                  first: int) -> int:

@@ -19,6 +19,8 @@ MID_CODE = FULL_SCALE_CODES // 2
 DB_CAP = 200.0
 ENOB_SLOPE_DB = 6.02
 ENOB_OFFSET_DB = 1.76
+# least mean hits per interior code a ramp capture must give
+MIN_HITS = 32.0
 
 # leakage bins excluded around the signal on top of the signal bin itself
 _LEAK = {"rectangular": 1, "hann": 2}
@@ -70,17 +72,16 @@ class SpectrumReport:
     sndr_db: float
     sfdr_db: float
     enob: float
-    harmonic_bins: tuple[int, ...]
     window: str
 
 
-def ramp_linearity(stream: CodeStream, min_hits: float = 32.0) -> LinearityReport:
+def ramp_linearity(stream: CodeStream) -> LinearityReport:
     """Code-density linearity from a ramp capture.
 
     DNL[k] = H[k]/H_avg - 1 over interior codes 1..254 with H_avg the mean
     interior count; INL is the running sum of DNL with the endpoint-fit line
     removed, so INL[1] = INL[254] = 0. The stimulus must cover the range with
-    at least ``min_hits`` samples per interior code on average; individual
+    at least ``MIN_HITS`` samples per interior code on average; individual
     missing codes are a property of the converter under test and are flagged
     rather than rejected, unless so many are missing that the stimulus
     clearly never spanned the range.
@@ -92,7 +93,7 @@ def ramp_linearity(stream: CodeStream, min_hits: float = 32.0) -> LinearityRepor
     interior = hist[1:FULL_SCALE_CODES - 1].astype(np.float64)
     h_avg = float(interior.mean())
     missing = tuple(int(k) for k in np.nonzero(interior == 0)[0] + 1)
-    if h_avg < min_hits or len(missing) > interior.size // 10:
+    if h_avg < MIN_HITS or len(missing) > interior.size // 10:
         raise ValueError(
             f"insufficient code coverage: {h_avg:.1f} hits per interior code, "
             f"{len(missing)} interior codes missing")
@@ -148,15 +149,14 @@ def spectrum(stream: CodeStream, n_fft: int, window: str = "rectangular") -> Spe
                         window=window, fs=stream.fs)
 
 
-def sndr_sfdr_enob(data: SpectrumData, signal_bin: int, n_harmonics: int = 5) -> SpectrumReport:
+def sndr_sfdr_enob(data: SpectrumData, signal_bin: int) -> SpectrumReport:
     """Fold the spectrum into SNDR, SFDR and ENOB.
 
     SNDR is signal-bin power over the sum of every other bin, excluding DC
     and the window leakage neighbors of the signal (+-1 bin rectangular,
     +-2 hann); SFDR is signal power over the single largest remaining bin;
     ENOB = (SNDR - 1.76)/6.02. A spectrum with no residual power reports the
-    200 dB cap. Harmonic bins are bookkeeping only: aliased locations of the
-    first n_harmonics harmonics.
+    200 dB cap.
     """
     p = data.bin_power
     nyquist = data.n_fft // 2
@@ -178,15 +178,9 @@ def sndr_sfdr_enob(data: SpectrumData, signal_bin: int, n_harmonics: int = 5) ->
 
     floor = p_sig * 10.0 ** (-2.0 * DB_CAP / 10.0)
     dbc = 10.0 * np.log10(np.maximum(p, floor) / p_sig)
-
-    harmonics = []
-    for m in range(2, n_harmonics + 2):
-        b = (m * signal_bin) % data.n_fft
-        harmonics.append(b if b <= nyquist else data.n_fft - b)
     return SpectrumReport(power_dbc=dbc, freqs=data.freqs, signal_bin=signal_bin,
                           signal_freq=float(data.freqs[signal_bin]),
-                          sndr_db=sndr, sfdr_db=sfdr, enob=enob,
-                          harmonic_bins=tuple(harmonics), window=data.window)
+                          sndr_db=sndr, sfdr_db=sfdr, enob=enob, window=data.window)
 
 
 def coherent_frequency(fs: float, n_fft: int, f_target: float) -> tuple[float, int]:

@@ -85,11 +85,11 @@ def _write_script(path, lines) -> Path:
     return path
 
 
-def write_linearity_plot(path, csv_path, png_path="linearity.png") -> Path:
+def write_linearity_plot(path, csv_path) -> Path:
     return _write_script(path, [
         "set datafile separator ','",
         "set terminal pngcairo size 900,700",
-        f"set output '{png_path}'",
+        "set output 'linearity.png'",
         "set multiplot layout 2,1",
         "set xlabel 'code'",
         "set ylabel 'DNL (LSB)'",
@@ -100,11 +100,11 @@ def write_linearity_plot(path, csv_path, png_path="linearity.png") -> Path:
     ])
 
 
-def write_spectrum_plot(path, csv_path, png_path="spectrum.png") -> Path:
+def write_spectrum_plot(path, csv_path) -> Path:
     return _write_script(path, [
         "set datafile separator ','",
         "set terminal pngcairo size 900,500",
-        f"set output '{png_path}'",
+        "set output 'spectrum.png'",
         "set xlabel 'frequency (Hz)'",
         "set ylabel 'power (dBc)'",
         "set yrange [-140:10]",
@@ -112,11 +112,11 @@ def write_spectrum_plot(path, csv_path, png_path="spectrum.png") -> Path:
     ])
 
 
-def write_sweep_plot(path, csv_path, axis: str, metric: str, png_path="sweep.png") -> Path:
+def write_sweep_plot(path, csv_path, axis: str, metric: str) -> Path:
     return _write_script(path, [
         "set datafile separator ','",
         "set terminal pngcairo size 900,500",
-        f"set output '{png_path}'",
+        "set output 'sweep.png'",
         f"set xlabel '{axis}'",
         f"set ylabel '{metric}'",
         f"plot '{csv_path}' skip 1 using 1:2 with linespoints notitle",

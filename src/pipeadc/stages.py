@@ -1,15 +1,18 @@
 """Single-stage analog behavior: comparator decisions, MDAC residue law, amplifier settling.
 
 Everything here is a pure function of its arguments; the pipeline engine owns
-all state. The comparator decisions take one float each; the engine decides
-whole arrays by comparing against thresholds derived from these functions.
-The residue and settling laws work elementwise on floats and numpy arrays
-alike, and every engine path calls them, so each is written once.
+all state. Every law works elementwise on floats and numpy arrays alike, and
+every engine path calls it, so each is written once. A comparator trips when
+its input exceeds the real sum threshold + offset: the input is compared with
+the smallest float on the far side of that sum, which makes the comparison
+exact for every float input and offset.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 from .config import OtaParams, StageParams
 
@@ -46,26 +49,43 @@ def comparator_diff(vr_p, vr_n, vi_p, vi_n):
 
     The charge on the sampling capacitors is conserved between the two
     phases, so the voltage seen by the latch is exactly
-    (vr_p - vr_n) - (vi_p - vi_n). The comparator trips on its sign.
+    (vr_p - vr_n) - (vi_p - vi_n). The comparator trips on its sign; for
+    offsets within vref/8 that sign flips exactly where the decisions below
+    compare the input with the real threshold.
     """
     return (vr_p - vr_n) - (vi_p - vi_n)
 
 
-def sub_adc_decide(vin: float, stage: StageParams, vref: float) -> int:
-    """Ternary 1.5-bit decision with thresholds +-vref/4 shifted by the offsets.
+def _above(a: float, b: float, strict: bool) -> float:
+    """Smallest float x with x > a + b (strict) or x >= a + b, the sum taken exactly.
 
-    The input is applied differentially (vi+ - vi- = 2*vin) against a
-    reference pair straddling the threshold (vr+ - vr- = +-vref/2), so each
-    comparison reduces to the sign of :func:`comparator_diff` plus the
-    comparator's input-referred offset. Exact ties resolve to d = 0.
+    TwoSum (Knuth, TAOCP vol. 2, 4.2.2) gives the exact rounding error err of
+    s = a + b, and |err| is at most half an ulp of s: the answer is s when the
+    real sum lies below s, or on it when not strict, and the next float up
+    otherwise. A sum that overflows gives +-inf, the right answer for it.
     """
-    v_hi = comparator_diff(0.25 * vref, -0.25 * vref, vin, -vin)
-    if v_hi < -2.0 * stage.cmp_offset_hi:
-        return 1
-    v_lo = comparator_diff(-0.25 * vref, 0.25 * vref, vin, -vin)
-    if v_lo > -2.0 * stage.cmp_offset_lo:
-        return -1
-    return 0
+    s = a + b
+    b_part = s - a
+    err = (a - (s - b_part)) + (b - b_part)
+    return math.nextafter(s, math.inf) if err > 0.0 or (strict and err == 0.0) else s
+
+
+def _flag(hit):
+    """A comparison as 0/1: an int8 array elementwise, an int for a scalar."""
+    return hit.view(np.int8) if isinstance(hit, np.ndarray) else int(hit)
+
+
+def sub_adc_decide(vin, stage: StageParams, vref: float):
+    """Ternary 1.5-bit decision: thresholds +-vref/4 shifted by the comparator offsets.
+
+    d = +1 when vin > vref/4 + cmp_offset_hi, else -1 when
+    vin < cmp_offset_lo - vref/4, else 0: an exact tie gives 0, and when
+    offsets make the thresholds cross, +1 wins. Elementwise on arrays (int8).
+    """
+    q = 0.25 * vref
+    hi = _above(q, stage.cmp_offset_hi, True)
+    lo = min(_above(stage.cmp_offset_lo, -q, False), hi)
+    return _flag(vin >= hi) - _flag(vin < lo)
 
 
 def mdac_residue(vin, d, stage: StageParams, vref: float):
@@ -77,16 +97,14 @@ def mdac_residue(vin, d, stage: StageParams, vref: float):
     return (2.0 * (1.0 + stage.gain_mismatch)) * vin - d * ((1.0 + stage.dac_mismatch) * vref)
 
 
-def flash2b(vin: float, offsets, vref: float) -> int:
+def flash2b(vin, offsets, vref: float):
     """2-bit thermometer decision against {-vref/2, 0, +vref/2} plus per-threshold offsets.
 
-    Returns the count of thresholds strictly exceeded, in {0..3}; an exact tie
-    does not count, so boundary inputs take the lower code.
+    Returns the count of thresholds thr + offset strictly exceeded, in {0..3};
+    an exact tie does not count, so boundary inputs take the lower code.
+    Elementwise on arrays (int8).
     """
-    code = 0
-    for thr, off in zip((-0.5 * vref, 0.0, 0.5 * vref), offsets):
-        v_diff = comparator_diff(thr, -thr, vin, -vin)
-        if v_diff < -2.0 * off:
-            code += 1
-    return code
-
+    off_lo, off_mid, off_hi = offsets
+    return (_flag(vin >= _above(-0.5 * vref, off_lo, True))
+            + _flag(vin >= _above(0.0, off_mid, True))
+            + _flag(vin >= _above(0.5 * vref, off_hi, True)))

@@ -1,4 +1,4 @@
-from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -282,14 +282,16 @@ MAX_FLOAT = float(np.finfo(np.float64).max)
 
 
 def probe_points(thresholds):
-    """Each finite threshold and its neighbours, float extremes, and a dense grid."""
+    """The floats nearest each threshold and their neighbours, float extremes, a dense grid."""
     pts = [0.0, -0.0, 5e-324, -5e-324, MAX_FLOAT, -MAX_FLOAT, MAX_FLOAT / 2, -MAX_FLOAT / 2]
-    for t in thresholds:
+    for t in map(float, thresholds):
         if np.isfinite(t):
             pts += [np.nextafter(t, -np.inf), t, np.nextafter(t, np.inf)]
     return np.concatenate([pts, np.linspace(-2 * VREF, 2 * VREF, 20001)])
 
 
+# Exact oracle: the comparator laws compare the input with the real sum
+# threshold + offset, evaluated here in rational arithmetic.
 @pytest.mark.parametrize("hi,lo,levels", [
     (0.0, 0.0, None),
     (VREF / 8, VREF / 8, None),
@@ -297,20 +299,26 @@ def probe_points(thresholds):
     (VREF / 8, -VREF / 8, None),
     (-VREF / 8, VREF / 8, None),
     (-0.3 * VREF, 0.3 * VREF, None),  # crossing: the +1 threshold lies below the -1 one
-    (-VREF / 4, VREF / 4, None),  # both flips a denormal step from zero
+    (-VREF / 4, VREF / 4, None),  # both thresholds at zero, flips a denormal step away
     (1e300, -1e300, None),  # neither level is reached by any input the engine accepts
-    (1e308, -1e308, (-np.inf, np.inf)),  # -2 * offset overflows: +1 never, -1 never
-    (-1e308, 1e308, None),  # +1 everywhere except where 2u overflows
+    # the smallest floats reaching d >= 0 and d = +1 stay finite at offsets
+    # near the float maximum
+    (1e308, -1e308, (-1e308, float(np.nextafter(1e308, np.inf)))),
+    (-1e308, 1e308, None),  # +1 from the most negative floats up
 ])
 def test_stage_thresholds_match_sub_adc_decide(hi, lo, levels):
     stage = StageParams(cmp_offset_hi=hi, cmp_offset_lo=lo)
-    eng = PipelineEngine(replace(ideal_config(), stages=(stage,) * 6))
-    t0, t1 = eng._sub_thresholds[0]
-    assert t0 <= t1
+    q = Fraction(0.25 * VREF)
+    t_hi, t_lo = q + Fraction(hi), Fraction(lo) - q
+    u = probe_points((t_hi, t_lo))
+    want = [1 if Fraction(x) > t_hi else -1 if Fraction(x) < t_lo else 0 for x in u.tolist()]
+    got = sub_adc_decide(u, stage, VREF)
+    assert got.dtype == np.int8
+    assert got.tolist() == want
+    assert [sub_adc_decide(x, stage, VREF) for x in u.tolist()] == want
     if levels is not None:
-        assert (t0, t1) == levels
-    u = probe_points((t0, t1))
-    assert eng._decide(1, u).tolist() == [sub_adc_decide(x, stage, VREF) for x in u.tolist()]
+        want = np.array(want)
+        assert (u[want >= 0].min(), u[want == 1].min()) == levels
 
 
 @pytest.mark.parametrize("offsets", [
@@ -318,15 +326,18 @@ def test_stage_thresholds_match_sub_adc_decide(hi, lo, levels):
     (VREF / 8, -VREF / 8, VREF / 8),
     (0.45 * VREF, 0.0, -0.45 * VREF),  # the outer comparators cross
     (1e300, 0.0, -1e300),
-    (1e308, -1e308, 0.0),  # one comparator never trips, one always does
+    (1e308, -1e308, 0.0),  # one comparator trips only near the float maximum, one always
     (-1e308, 1e308, 1e-12),
 ])
 def test_flash_thresholds_match_flash2b(offsets):
-    eng = PipelineEngine(replace(ideal_config(), flash_offsets=offsets))
-    f = eng._flash_thresholds
-    assert list(f) == sorted(f)
-    u = probe_points(f)
-    assert eng._flash_decide(u).tolist() == [flash2b(x, offsets, VREF) for x in u.tolist()]
+    thresholds = [Fraction(thr) + Fraction(off)
+                  for thr, off in zip((-0.5 * VREF, 0.0, 0.5 * VREF), offsets)]
+    u = probe_points(thresholds)
+    want = [sum(Fraction(x) > t for t in thresholds) for x in u.tolist()]
+    got = flash2b(u, offsets, VREF)
+    assert got.dtype == np.int8
+    assert got.tolist() == want
+    assert [flash2b(x, offsets, VREF) for x in u.tolist()] == want
 
 
 def test_full_swing_step_tracks_published_chain():

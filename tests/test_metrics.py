@@ -192,15 +192,6 @@ def test_signal_bin_domain_checked():
             sndr_sfdr_enob(data, bad)
 
 
-def test_harmonic_bins_folded():
-    n_fft, m = 4096, 257
-    n = np.arange(n_fft)
-    codes = np.round(127.5 + 127.0 * np.sin(2 * np.pi * m * n / n_fft)).astype(int)
-    rep = sndr_sfdr_enob(spectrum(synth_stream(codes), n_fft), m, n_harmonics=3)
-    assert rep.harmonic_bins == (514, 771, 1028)
-    assert np.all(np.asarray(rep.harmonic_bins) <= n_fft // 2)
-
-
 def test_power_dbc_referenced_to_carrier():
     n_fft, m = 1024, 101
     n = np.arange(n_fft)

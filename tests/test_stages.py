@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pipeadc import (ClockParams, OtaParams, StageParams, comparator_diff, flash2b,
-                     mdac_residue, settle_coefficients, sub_adc_decide)
+from pipeadc import (ClockParams, OtaParams, StageParams, comparator_diff, degraded_config,
+                     flash2b, mdac_residue, settle_coefficients, sub_adc_decide)
 from pipeadc.config import db_to_gain
 from pipeadc.stages import settle_value
 
@@ -155,6 +157,61 @@ def test_decide_offsets_shift_thresholds():
     stage = StageParams(cmp_offset_hi=0.05)
     assert sub_adc_decide(VREF / 4.0 + 0.04, stage, VREF) == 0
     assert sub_adc_decide(VREF / 4.0 + 0.06, stage, VREF) == 1
+
+
+def sc_sub_adc_decide(vin, stage, vref):
+    """Scalar oracle: the switched-capacitor form, the sign of comparator_diff plus 2 * offset."""
+    if comparator_diff(0.25 * vref, -0.25 * vref, vin, -vin) < -2.0 * stage.cmp_offset_hi:
+        return 1
+    if comparator_diff(-0.25 * vref, 0.25 * vref, vin, -vin) > -2.0 * stage.cmp_offset_lo:
+        return -1
+    return 0
+
+
+def sc_flash2b(vin, offsets, vref):
+    """Scalar oracle: the switched-capacitor form of the flash."""
+    return sum(comparator_diff(thr, -thr, vin, -vin) < -2.0 * off
+               for thr, off in zip((-0.5 * vref, 0.0, 0.5 * vref), offsets))
+
+
+def ulp_steps(x, k):
+    """The float k steps from x (k may be negative)."""
+    for _ in range(abs(k)):
+        x = float(np.nextafter(x, math.copysign(math.inf, k)))
+    return x
+
+
+unit = st.floats(-1.0, 1.0)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300, database=None)
+@given(vref=st.floats(1e-3, 1.7), offs=st.lists(unit, min_size=5, max_size=5),
+       far=st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=8),
+       steps=st.lists(st.integers(-3, 3), min_size=3, max_size=3))
+def test_comparators_equal_switched_capacitor_form(vref, offs, far, steps):
+    # Within vref/8 of the nominal thresholds the subtraction at the flip
+    # point is exact (Sterbenz), so the exact law must give the old bits.
+    hi, lo, *flash = (x * (vref / 8) for x in offs)
+    stage = StageParams(cmp_offset_hi=hi, cmp_offset_lo=lo)
+    q = 0.25 * vref
+    near = [q + hi, lo - q] + [thr + off for thr, off in zip((-2 * q, 0.0, 2 * q), flash)]
+    u = far + [ulp_steps(x, k) for x in near for k in steps]
+    for x in u:
+        assert sub_adc_decide(x, stage, vref) == sc_sub_adc_decide(x, stage, vref)
+        assert flash2b(x, flash, vref) == sc_flash2b(x, flash, vref)
+
+
+def test_comparator_arrays_equal_scalar_calls():
+    rng = np.random.default_rng(6)
+    cfg = degraded_config(seed=3, offset_sigma=0.05)
+    u = np.concatenate([rng.uniform(-2 * VREF, 2 * VREF, 5000), [0.0, -0.0, VREF / 4, -VREF / 4]])
+    for stage in cfg.stages:
+        got = sub_adc_decide(u, stage, VREF)
+        assert got.dtype == np.int8
+        assert got.tolist() == [sub_adc_decide(x, stage, VREF) for x in u.tolist()]
+    got = flash2b(u, cfg.flash_offsets, VREF)
+    assert got.dtype == np.int8
+    assert got.tolist() == [flash2b(x, cfg.flash_offsets, VREF) for x in u.tolist()]
 
 
 # --- residue -----------------------------------------------------------------
