@@ -235,3 +235,7 @@ def run_subcommand(argv) -> int:
 
 def main() -> None:
     sys.exit(run_subcommand(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

@@ -129,7 +129,7 @@ class AdcConfig:
 class CodeStream:
     """Corrected 8-bit output codes with their sample rate.
 
-    codes is an integer array with every value in [0, 255]. The first
+    codes is an int16 array with every value in [0, 255]. The first
     ``warmup`` entries were emitted while the pipeline was still filling and
     must be dropped by any metric.
     """
@@ -275,16 +275,17 @@ def with_mismatch(base: AdcConfig,
     """
     rng = np.random.default_rng(base.rng_seed if seed is None else seed)
     clip = 0.49
+    # one draw in stage order (gain, dac, hi, lo), then the flash offsets:
+    # the same floats as one scalar draw after another
+    sigmas = [gain_sigma, dac_sigma, offset_sigma, offset_sigma] * len(base.stages)
+    draws = rng.normal(0.0, sigmas + [offset_sigma] * N_FLASH_THRESHOLDS).tolist()
     stages = []
-    for st in base.stages:
-        stages.append(replace(
-            st,
-            gain_mismatch=float(min(max(rng.normal(0.0, gain_sigma), -clip), clip)),
-            dac_mismatch=float(min(max(rng.normal(0.0, dac_sigma), -clip), clip)),
-            cmp_offset_hi=float(rng.normal(0.0, offset_sigma)),
-            cmp_offset_lo=float(rng.normal(0.0, offset_sigma)),
-        ))
-    flash = tuple(float(rng.normal(0.0, offset_sigma)) for _ in range(N_FLASH_THRESHOLDS))
+    for i, st in enumerate(base.stages):
+        gain, dac, hi, lo = draws[4 * i:4 * i + 4]
+        stages.append(replace(st, gain_mismatch=min(max(gain, -clip), clip),
+                              dac_mismatch=min(max(dac, -clip), clip),
+                              cmp_offset_hi=hi, cmp_offset_lo=lo))
+    flash = tuple(draws[len(sigmas):])
     out = replace(base, stages=tuple(stages), flash_offsets=flash,
                   rng_seed=base.rng_seed if seed is None else seed)
     return validate(out)

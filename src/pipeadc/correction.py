@@ -30,16 +30,18 @@ def correct_stream(decisions: np.ndarray, flash: np.ndarray, fs: float) -> CodeS
     d_k[n - (7 - k)] with flash[n]. Output length equals input length; the
     first PIPELINE_LATENCY_SAMPLES codes mix in the zero-initialized pipe and
     are flagged as warm-up.
+
+    The codes are int16, which holds every partial sum of int8 decisions
+    and flash exactly, in any layout (the engine's is column-major).
     """
     n = len(flash)
-    acc = np.full(n, MID_CODE - FLASH_MID, dtype=np.int64)
-    acc += flash.astype(np.int64)
+    acc = flash.astype(np.int16)
+    acc += MID_CODE - FLASH_MID
     for k in range(1, N_STAGES + 1):
-        weight = 1 << (7 - k)
         shift = PIPELINE_LATENCY_SAMPLES - k
         if shift < n:
-            acc[shift:] += weight * decisions[:n - shift, k - 1].astype(np.int64)
-    codes = np.clip(acc, 0, 255)
+            acc[shift:] += decisions[:n - shift, k - 1] * np.int16(1 << (7 - k))
+    codes = np.clip(acc, 0, 255, out=acc)
     return CodeStream(codes=codes, fs=fs, warmup=min(n, PIPELINE_LATENCY_SAMPLES))
 
 

@@ -56,9 +56,10 @@ PIPELINE_LATENCY_SAMPLES = 7
 
 DEFAULT_PAIRING = ((1, 2), (3, 4), (5, 6))
 
-# Samples per block. A block's dozen temporaries per stage (128 KB each)
-# stay in cache: 8K-32K blocks run 2^20 samples in about the same time,
-# 2K blocks take about 1.7x as long and a single 2^20 block about 3x.
+# Samples per block. A block's residue buffer and its few float64
+# temporaries per stage (128 KB each) stay in cache: 8K-32K blocks run 2^20
+# samples in about the same time, 2K blocks take about 1.7x as long and a
+# single 2^20 block about 3x.
 BLOCK_SAMPLES = 16384
 
 # Sweeps a memory block may take before ``step`` finishes its unconverged
@@ -95,7 +96,8 @@ class PipelineState:
 class SimulationResult:
     """Raw decision stream plus optional residue traces for one run.
 
-    decisions has shape (n, 6) with values in {-1, 0, +1}; flash has shape
+    decisions has shape (n, 6) with values in {-1, 0, +1}; ``simulate``
+    stores it column-major, one contiguous column per stage. flash has shape
     (n,) with values in {0..3}; residues has shape (n, 7) when recorded.
     sweeps is the most array sweeps any block took (1 when memoryless) and
     stepped_samples the samples finished one at a time by ``step``.
@@ -215,14 +217,16 @@ class PipelineEngine:
         if v.ndim != 1 or v.size == 0:
             raise ValueError("empty waveform")
         limit = INPUT_LIMIT_VREF * self.vref
-        if not np.abs(v).max() <= limit:
+        if not (-limit <= v.min() and v.max() <= limit):
             i = np.flatnonzero(~(np.abs(v) <= limit))[0]
             if not np.isfinite(v[i]):
                 raise ValueError(f"non-finite input sample at index {i}: {v[i]}")
             raise ValueError(f"input sample at index {i} is out of range: "
                              f"|{v[i]}| > {INPUT_LIMIT_VREF:g} * vref")
         n = v.size
-        decisions = np.empty((n, N_STAGES), dtype=np.int8)
+        # channel-major, so each stage's digits are one contiguous row for
+        # ``_sweep`` to write and ``correct_stream`` to read
+        decisions = np.empty((N_STAGES, n), dtype=np.int8).T
         flash = np.empty(n, dtype=np.int8)
         residues = np.empty((n, N_STAGES + 1), dtype=np.float64) if record_residues else None
         # channel-major: column 0 holds the residues of the sample before the

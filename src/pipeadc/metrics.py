@@ -89,7 +89,12 @@ def ramp_linearity(stream: CodeStream) -> LinearityReport:
     codes = np.asarray(stream.codes)[stream.warmup:]
     if codes.size == 0:
         raise ValueError("insufficient code coverage: empty stream after warm-up")
-    hist = np.bincount(codes, minlength=FULL_SCALE_CODES)
+    # bincount widens its input to intp: counting 64K codes at a time keeps
+    # that copy in cache instead of making one of the whole capture
+    hist = np.zeros(FULL_SCALE_CODES, dtype=np.intp)
+    for i in range(0, codes.size, 1 << 16):
+        part = np.bincount(codes[i:i + (1 << 16)], minlength=FULL_SCALE_CODES)
+        hist += part[:FULL_SCALE_CODES]
     interior = hist[1:FULL_SCALE_CODES - 1].astype(np.float64)
     h_avg = float(interior.mean())
     missing = tuple(int(k) for k in np.nonzero(interior == 0)[0] + 1)

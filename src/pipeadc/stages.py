@@ -39,9 +39,14 @@ def settle_value(v_target, v_init, g: float, e: float):
 
     Works elementwise on arrays. Kept as the single definition of the
     arithmetic so the scalar and vectorized simulation paths are bit-identical.
+    It works in place in its own first temporary, never in an argument (the
+    engine passes views of its residue buffer); IEEE addition commutes exactly.
     """
     v_static = g * v_target
-    return v_static + (v_init - v_static) * e
+    out = v_init - v_static
+    out *= e
+    out += v_static
+    return out
 
 
 def comparator_diff(vr_p, vr_n, vi_p, vi_n):
@@ -93,8 +98,11 @@ def mdac_residue(vin, d, stage: StageParams, vref: float):
 
     d in {-1, 0, +1} is the decision on vin. Elementwise on arrays; every
     engine path calls it, so all share its float operations and their order.
+    It works in place in its own first temporary, never in vin or d.
     """
-    return (2.0 * (1.0 + stage.gain_mismatch)) * vin - d * ((1.0 + stage.dac_mismatch) * vref)
+    out = (2.0 * (1.0 + stage.gain_mismatch)) * vin
+    out -= d * ((1.0 + stage.dac_mismatch) * vref)
+    return out
 
 
 def flash2b(vin, offsets, vref: float):

@@ -42,11 +42,10 @@ def generate(w: Waveform, clock: ClockParams) -> np.ndarray:
         raise ValueError(f"unknown waveform kind: {w.kind!r}")
     if w.length < 1:
         raise ValueError("length must be >= 1")
-    n = np.arange(w.length)
     if w.kind == "sine":
         if w.frequency <= 0.0:
             raise ValueError("sine requires a positive frequency")
-        return w.amplitude * np.sin(2.0 * np.pi * w.frequency * n / clock.fs)
+        return w.amplitude * np.sin(2.0 * np.pi * w.frequency * np.arange(w.length) / clock.fs)
     if w.kind == "ramp":
         if w.v_high <= w.v_low:
             raise ValueError("ramp requires v_high > v_low")
@@ -55,7 +54,12 @@ def generate(w: Waveform, clock: ClockParams) -> np.ndarray:
         hi = w.v_high + lsb
         if w.length == 1:
             return np.array([lo])
-        return lo + (hi - lo) * n / (w.length - 1)
+        # lo + (hi - lo) * n / (length - 1), formed in one buffer
+        v = np.arange(w.length, dtype=np.float64)
+        v *= hi - lo
+        v /= w.length - 1
+        v += lo
+        return v
     if w.kind == "pulse":
         v = np.full(w.length, w.v_low, dtype=np.float64)
         v[w.length // 2:] = w.v_high

@@ -1,8 +1,11 @@
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import pipeadc
 from pipeadc import default_config, save_config
 from pipeadc.cli import run_subcommand
 
@@ -19,6 +22,19 @@ def test_specs_prints_requirements(tmp_path, capsys):
     assert "66.2" in out
     assert "950 MHz" in out
     assert "0.387" in out
+
+
+def test_module_entry_point_runs_command(tmp_path):
+    # ``python -m pipeadc.cli`` runs the command, as the installed script does
+    src = str(Path(pipeadc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-m", "pipeadc.cli", "specs", "--config", "default",
+                           "--out", str(tmp_path)],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "66.2" in proc.stdout
+    assert "950 MHz" in proc.stdout
 
 
 def test_unknown_subcommand_fails(capsys):

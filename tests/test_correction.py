@@ -127,10 +127,33 @@ def test_correct_stream_matches_scalar_oracle(decisions, data):
     n = len(decisions)
     flash = data.draw(arrays(np.int8, n, elements=st.integers(0, 3)))
     stream = correct_stream(decisions, flash, 1.0)
+    assert stream.codes.dtype == np.int16
     for i in range(n):
         d = tuple(int(decisions[i - 7 + k, k - 1]) if i - 7 + k >= 0 else 0
                   for k in range(1, N_STAGES + 1))
         assert stream.codes[i] == align_and_correct(CorrectionInput(d=d, d_flash=int(flash[i])))
+    # the engine's layout: each stage's digits contiguous
+    engine_layout = correct_stream(np.asfortranarray(decisions), flash, 1.0).codes
+    assert engine_layout.dtype == np.int16
+    assert np.array_equal(engine_layout, stream.codes)
+    # any int8 digits, in range or not, give the clipped exact int64 sum
+    wide = data.draw(arrays(np.int8, decisions.shape, elements=st.integers(-128, 127)))
+    wide_flash = data.draw(arrays(np.int8, n, elements=st.integers(-128, 127)))
+    wide_codes = correct_stream(wide, wide_flash, 1.0).codes
+    assert np.array_equal(wide_codes, int64_correction(wide, wide_flash))
+    assert np.array_equal(correct_stream(np.asfortranarray(wide), wide_flash, 1.0).codes,
+                          wide_codes)
+
+
+def int64_correction(decisions, flash):
+    """The weighted sum in int64, clipped: the exact form of correct_stream for any int8 input."""
+    n = len(flash)
+    acc = np.full(n, 126, dtype=np.int64) + flash.astype(np.int64)
+    for k in range(1, N_STAGES + 1):
+        shift = PIPELINE_LATENCY_SAMPLES - k
+        if shift < n:
+            acc[shift:] += (1 << (7 - k)) * decisions[:n - shift, k - 1].astype(np.int64)
+    return np.clip(acc, 0, 255)
 
 
 def test_code_stream_metadata():

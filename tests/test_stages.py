@@ -232,10 +232,40 @@ def test_residue_mismatch_terms():
     rng = np.random.default_rng(5)
     vin = rng.uniform(-2 * VREF, 2 * VREF, 5000)
     d = rng.integers(-1, 2, vin.size).astype(np.int8)
+    vin_bits, d_bits = vin.copy(), d.copy()
     got = mdac_residue(vin, d, stage, VREF)
     want = np.array([mdac_residue(x, int(k), stage, VREF) for x, k in zip(vin.tolist(), d)])
     assert got.dtype == np.float64
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    # the law never writes into its arguments: the engine passes buffer views
+    assert np.array_equal(vin.view(np.int64), vin_bits.view(np.int64))
+    assert np.array_equal(d, d_bits)
+
+
+def test_settle_value_array_form():
+    # array v_target and v_init, as the memory sweeps call it: each element
+    # has the scalar call's bits and neither argument changes
+    g, e = settle_coefficients(OtaParams(a0=db_to_gain(60.0), gbw=5e8), 1e-9)
+    rng = np.random.default_rng(6)
+    v_target = rng.uniform(-2 * VREF, 2 * VREF, 5000)
+    v_init = rng.uniform(-VREF, VREF, v_target.size)
+    v_init[::7] = 0.0
+    target_bits, init_bits = v_target.copy(), v_init.copy()
+    got = settle_value(v_target, v_init, g, e)
+    want = np.array([settle_value(t, i, g, e) for t, i in zip(v_target.tolist(), v_init.tolist())])
+    assert got.dtype == np.float64
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert np.array_equal(v_target.view(np.int64), target_bits.view(np.int64))
+    assert np.array_equal(v_init.view(np.int64), init_bits.view(np.int64))
+    # the settling formula as written in ``settle_coefficients``
+    v_static = g * v_target
+    formula = v_static + (v_init - v_static) * e
+    assert np.array_equal(got.view(np.int64), formula.view(np.int64))
+    # the memoryless form, a scalar v_init of 0.0
+    got0 = settle_value(v_target, 0.0, g, e)
+    want0 = np.array([settle_value(t, 0.0, g, e) for t in v_target.tolist()])
+    assert np.array_equal(got0.view(np.int64), want0.view(np.int64))
+    assert np.array_equal(v_target.view(np.int64), target_bits.view(np.int64))
 
 
 def test_residue_bounded_with_ideal_decisions():
