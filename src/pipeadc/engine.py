@@ -21,23 +21,29 @@ phase exists to kill.
 Blocks and relaxation
 ---------------------
 ``step`` is the sequential definition. ``simulate`` computes the same numbers
-with array sweeps down the chain, one block of ``BLOCK_SAMPLES`` samples at a
-time; a block starts from the residues the previous block settled last,
-which are also what every amplifier last put out. A memoryless block needs
-one sweep. With memory, the second stage on an amplifier takes its v_init
-from its partner's output in the same sweep, while the SHA and the first
-stage on each amplifier take theirs from the previous sweep, one sample
-earlier; the sweep is repeated until no residue of the block changes a bit
-(waveform relaxation, Lelarasmee, Ruehli & Sangiovanni-Vincentelli, IEEE
-TCAD 1(3), 1982). Every sweep applies the same float operations per element
-as ``step``, so a bitwise fixed point satisfies each per-sample equation
-and, by induction on the sample index, is the sequential result. A sample
-only depends on earlier samples of the previous sweep, so the samples
-before the first one that changed are final and later sweeps recompute only
-the suffix. After ``MAX_SWEEPS`` sweeps ``step`` finishes the unconverged
-rest of the block. ``step`` and the sweeps call the same stage laws,
-``sub_adc_decide``, ``mdac_residue``, ``flash2b`` and ``settle_value``, on
-floats and on arrays respectively.
+with array sweeps, one block of ``BLOCK_SAMPLES`` samples at a time; a block
+starts from the residues the previous block settled last, which are also
+what every amplifier last put out. With memory the channels relax in
+amplifier groups, the strongly connected components of the graph with
+edges from each channel to the next and from each v_init's source channel
+to its user: {SHA}, {1,2}, {3,4}, {5,6} by default; a memoryless chain is
+one group. Groups run in chain order, so a group's input is final and its
+first stage decides once per block (waveform relaxation, Lelarasmee,
+Ruehli & Sangiovanni-Vincentelli, IEEE TCAD 1(3), 1982). The second stage
+on an amplifier takes its v_init from its partner's output in the same
+sweep, the SHA and the first stage on each amplifier theirs from the
+previous sweep, one sample earlier; a group repeats its sweep until none of
+its residues changes a bit (once when memoryless). Every sweep applies the
+same float operations per element as ``step``, so a bitwise fixed point
+satisfies each per-sample equation and, by induction on the sample index,
+is the sequential result. A sample only depends on earlier samples of the
+previous sweep, so the samples before the first one that changed are final
+and later sweeps recompute only the suffix. If a group is still unconverged
+from sample s on after ``MAX_SWEEPS`` sweeps, the later groups relax only
+the samples before s and ``step`` finishes the block from the lowest such
+s. ``step`` and the sweeps call the same stage laws, ``sub_adc_decide``,
+``mdac_residue``, ``flash2b`` and ``settle_value``, on floats and on arrays
+respectively.
 """
 
 from __future__ import annotations
@@ -62,11 +68,11 @@ DEFAULT_PAIRING = ((1, 2), (3, 4), (5, 6))
 # single 2^20 block about 3x.
 BLOCK_SAMPLES = 16384
 
-# Sweeps a memory block may take before ``step`` finishes its unconverged
-# suffix. One sweep over an 8K-sample block costs about as much as stepping
-# 50 samples, so a block that hits the cap costs about 1.35x stepping it
-# all; the degraded preset converges within the cap at every k_mem <= 1
-# from 300 MHz GBW up, and at k_mem <= 0.5 from 100 MHz up.
+# Sweeps one amplifier group may take in a block before ``step`` finishes
+# the block. A sweep of a stage pair over 8K samples costs about as much as
+# stepping 6 samples, so a block that hits the cap costs about 1.06x
+# stepping it all; the degraded preset converges within the cap at every
+# k_mem <= 1 from 250 MHz GBW up, and at k_mem <= 0.5 from 100 MHz up.
 MAX_SWEEPS = 64
 
 # Largest accepted |input| in units of vref. With |gain_mismatch| < 0.5,
@@ -99,8 +105,9 @@ class SimulationResult:
     decisions has shape (n, 6) with values in {-1, 0, +1}; ``simulate``
     stores it column-major, one contiguous column per stage. flash has shape
     (n,) with values in {0..3}; residues has shape (n, 7) when recorded.
-    sweeps is the most array sweeps any block took (1 when memoryless) and
-    stepped_samples the samples finished one at a time by ``step``.
+    sweeps is the most array sweeps any amplifier group of any block took (1
+    when memoryless) and stepped_samples the samples finished one at a time
+    by ``step``.
     """
 
     vin: np.ndarray
@@ -159,6 +166,17 @@ class PipelineEngine:
             self._e.append(e)
             self._kmem.append(amp.ota.k_mem)
         self._memoryless = self._reset or all(k == 0.0 for k in self._kmem)
+        # Relaxation groups in chain order: with memory, the strongly connected
+        # components of the channel graph (edges k-1 -> k and each _mem_src ->
+        # its channel). The chain edges make each a run of channels; a memory
+        # edge back from a later channel joins every channel between to one
+        # run. Without memory any grouping converges in one sweep: one group.
+        starts, reach = [], -1
+        for ch in range(N_STAGES + 1):
+            if ch > reach:
+                starts.append(ch)
+            reach = max(reach, N_STAGES if self._memoryless else self._mem_src[ch][0])
+        self._groups = [range(a, b) for a, b in zip(starts, starts[1:] + [N_STAGES + 1])]
 
     def new_state(self) -> PipelineState:
         return PipelineState(ota_last=[0.0] * len(self._last_user))
@@ -205,13 +223,14 @@ class PipelineEngine:
         """Run a whole waveform; output length equals input length.
 
         Bit-identical to stepping sample by sample. The waveform runs in
-        blocks of ``BLOCK_SAMPLES``. A memoryless block (reset enabled, or
-        every k_mem zero) takes one array sweep; with amplifier memory a
-        block repeats it until its residues reach a bitwise fixed point, and
-        ``step`` finishes whatever has not converged after ``MAX_SWEEPS``
-        sweeps (see the module docstring). Raises, naming the first bad
-        sample, on non-finite input, input beyond ``INPUT_LIMIT_VREF`` times
-        vref, and residues that overflow to non-finite values.
+        blocks of ``BLOCK_SAMPLES``, relaxed one amplifier group at a time.
+        Without memory (reset enabled, or every k_mem zero) the chain is one
+        group and takes one array sweep; with it a group repeats its sweep
+        until its residues reach a bitwise fixed point, and ``step`` finishes
+        what a group left unconverged after ``MAX_SWEEPS`` sweeps.
+        Raises, naming the first bad sample, on non-finite input, input
+        beyond ``INPUT_LIMIT_VREF`` times vref, and residues that overflow to
+        non-finite values.
         """
         v = np.asarray(waveform, dtype=np.float64)
         if v.ndim != 1 or v.size == 0:
@@ -254,43 +273,54 @@ class PipelineEngine:
 
     def _block(self, v: np.ndarray, cols: np.ndarray, decisions: np.ndarray,
                flash: np.ndarray) -> tuple[int, int]:
-        """Run one block; returns (sweeps, samples stepped).
+        """Run one block; returns (most sweeps of any group, samples stepped).
 
         cols is laid out as in ``simulate``; its column 0 is final on entry.
         """
         if not self._memoryless:
             cols[:, 1:] = 0.0  # pass 0 guesses discharged amplifiers
-        start = sweeps = 0
-        while start < v.size and sweeps < MAX_SWEEPS:
-            # the first changed sample was computed from final inputs: it is final too
-            start = min(self._sweep(v, start, decisions, cols) + 1, v.size)
-            sweeps += 1
-        flash[:] = flash2b(cols[N_STAGES, :-1], self.config.flash_offsets, self.vref)
-        if start < v.size:
-            state = PipelineState(residues=[float(x) for x in cols[:, start]],
-                                  ota_last=[float(cols[ch, start]) for ch in self._last_user],
-                                  n=start)
+        n, most = v.size, 0  # samples before n have final inputs for the next group
+        for group in self._groups:  # its upstream is final: decide once, not per sweep
+            k = group[0]
+            target = v[:n] if k == 0 else self._target(k, cols[k - 1, :n], decisions[:n])
+            start = sweeps = 0
+            while start < n and sweeps < MAX_SWEEPS:
+                # the first changed sample was computed from final inputs: it is final too
+                start = min(self._sweep(group, target, start, decisions[:n], cols[:, :n + 1]) + 1, n)
+                sweeps += 1
+            most = max(most, sweeps)
+            n = start
+        flash[:n] = flash2b(cols[N_STAGES, :n], self.config.flash_offsets, self.vref)
+        if n < v.size:
+            state = PipelineState(residues=[float(x) for x in cols[:, n]],
+                                  ota_last=[float(cols[ch, n]) for ch in self._last_user], n=n)
             self._step_through(v, state, decisions, flash, cols.T[1:])
-        return sweeps, v.size - start
+        return most, v.size - n
 
-    def _sweep(self, v: np.ndarray, start: int, decisions: np.ndarray, cols: np.ndarray) -> int:
-        """One array pass down the chain over block samples ``start:``.
+    def _sweep(self, group: range, target: np.ndarray, start: int, decisions: np.ndarray,
+               cols: np.ndarray) -> int:
+        """One array pass over the channels of ``group`` and block samples ``start:``.
 
-        Writes decisions[start:] and the residues cols[:, 1 + start:]. Without
-        memory every amplification starts from v_init = 0.0. With memory
-        ``cols`` holds the previous pass, whose samples before ``start`` are
-        final, and v_init is k_mem times the amplifier's previous output as
-        ``step`` sees it. Returns the first sample at which a residue changed
-        bits (v.size when none did, or without memory).
+        ``cols`` ends at the last sample to relax. The group's first channel
+        settles toward ``target``; the others decide on their predecessor.
+        Writes decisions[start:] and cols[group, 1 + start:]. With memory
+        ``cols`` holds the previous pass, final before ``start``, and v_init
+        is k_mem times the amplifier's previous output as ``step`` sees it.
+        Returns the first sample at which a residue changed bits (the pass
+        length when none did, or without memory).
         """
-        first = self._amplify(0, v[start:], start, cols, v.size)
-        for k, st in enumerate(self.config.stages, start=1):
-            u = cols[k - 1, start:-1]
-            d = sub_adc_decide(u, st, self.vref)
-            target = mdac_residue(u, d, st, self.vref)
+        first = self._amplify(group[0], target[start:], start, cols, cols.shape[1] - 1)
+        for k in group[1:]:
+            target = self._target(k, cols[k - 1, start:-1], decisions[start:])
             first = self._amplify(k, target, start, cols, first)
-            decisions[start:, k - 1] = d
         return first
+
+    def _target(self, k: int, u: np.ndarray, decisions: np.ndarray) -> np.ndarray:
+        """Stage k's MDAC target for inputs u; stores its decisions in decisions[:, k - 1]."""
+        st = self.config.stages[k - 1]
+        d = sub_adc_decide(u, st, self.vref)
+        decisions[:, k - 1] = d
+        return mdac_residue(u, d, st, self.vref)
 
     def _amplify(self, ch: int, target: np.ndarray, start: int, cols: np.ndarray,
                  first: int) -> int:

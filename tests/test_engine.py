@@ -165,6 +165,35 @@ def test_sweep_cap_in_a_middle_block_stays_exact(monkeypatch):
     assert np.array_equal(lean.flash, fast.flash)
 
 
+def test_sweep_cap_in_a_later_group_stays_exact():
+    # A memoryless SHA converges at once, while at 1 MHz GBW the stages keep
+    # about 0.985 of their last output, so group {1, 2} hits the cap at some
+    # sample s. Groups {3, 4} and {5, 6} must still be relaxed over the
+    # samples before s, whose inputs are final, before ``step`` resumes at s.
+    cfg = set_param(memory_config(seed=1, k_mem=1.0, gbw=1e6), "sha.ota.k_mem", 0.0)
+    eng = PipelineEngine(cfg)
+    wave = np.sin(np.linspace(0, 23, 3 * MAX_SWEEPS)) * VREF
+    fast = eng.simulate(wave)
+    assert fast.sweeps == MAX_SWEEPS
+    assert 0 < fast.stepped_samples < wave.size
+    assert_bit_identical(fast, eng._simulate_stepped(wave))
+
+
+@pytest.mark.parametrize("reset,pairing,groups", [
+    (False, ((1, 2), (3, 4), (5, 6)), [[0], [1, 2], [3, 4], [5, 6]]),
+    (False, ((1, 6), (2, 3), (4, 5)), [[0], [1, 2, 3, 4, 5, 6]]),
+    (False, ((2, 3), (1, 4), (5, 6)), [[0], [1, 2, 3, 4], [5, 6]]),
+    (True, ((1, 2), (3, 4), (5, 6)), [[0, 1, 2, 3, 4, 5, 6]]),
+    (True, ((1, 6), (2, 3), (4, 5)), [[0, 1, 2, 3, 4, 5, 6]]),
+])
+def test_relaxation_groups(reset, pairing, groups):
+    # With memory the channels that relax together are the strongly connected
+    # components of the channel graph. A memoryless chain converges in one
+    # sweep however it is split, so it is one group.
+    cfg = set_param(memory_config(), "clock.reset_enabled", reset)
+    assert [list(g) for g in PipelineEngine(cfg, pairing=pairing)._groups] == groups
+
+
 def test_overflowing_memory_run_matches_stepped(monkeypatch):
     # With stage 1 sharing its amplifier with stage 6, a 1.5 vref input grows
     # about 30 % a sample until residues overflow to inf and NaN (at sample
