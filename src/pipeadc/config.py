@@ -15,8 +15,11 @@ Conventions
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field, replace
+import re
+import typing
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
 
@@ -294,80 +297,62 @@ def with_mismatch(base: AdcConfig,
 # ---------------------------------------------------------------------------
 # flat-key config file format
 #
-# One "dotted.path = value" per line, comments start with '#'. Unknown keys
-# are errors. A file holds overrides applied on top of the default preset, so
-# a partial file is valid; config_to_text always emits every key, which makes
-# serialize -> parse an exact round trip.
-
-_OTA_FIELDS = ("a0", "gbw", "beta", "k_mem")
-_STAGE_FIELDS = ("gain_mismatch", "dac_mismatch", "cmp_offset_hi", "cmp_offset_lo")
+# One "dotted.path = value" per line, '#' starts a comment. The keys are the field
+# paths of AdcConfig, tuple indices in brackets, read from the dataclasses by _children.
 
 
-def _set_ota(ota: OtaParams, key: str, value: float) -> OtaParams:
-    if key == "a0_db":
-        return replace(ota, a0=db_to_gain(float(value)))
-    if key in _OTA_FIELDS:
-        return replace(ota, **{key: float(value)})
-    raise ConfigError(f"unknown key: ota.{key}")
+@functools.cache
+def _children(kind):
+    """Field name -> declared type of a dataclass, (element type,) of a tuple, else None."""
+    if is_dataclass(kind):
+        hints = typing.get_type_hints(kind)
+        return {f.name: hints[f.name] for f in fields(kind)}
+    return typing.get_args(kind)[:1] if typing.get_origin(kind) is tuple else None
 
 
-def _set_stage(stage: StageParams, path: str, value: float) -> StageParams:
-    head, _, rest = path.partition(".")
-    if head == "ota" and rest:
-        return replace(stage, ota=_set_ota(stage.ota, rest, value))
-    if head in _STAGE_FIELDS and not rest:
-        return replace(stage, **{head: float(value)})
+def _replace_leaf(node, kind, keys: list, value, path: str):
+    """Return node (declared as kind) with the leaf that keys name set to value.
+
+    The value is parsed by the leaf's declared type, not by the type of the
+    value it replaces: bool through _as_bool, int through int, else float.
+    """
+    children = _children(kind)
+    if not keys:
+        if children is not None:
+            raise ConfigError(f"unknown key: {path}")
+        parse = _as_bool if kind is bool else int if kind is int else float
+        try:
+            return parse(value)
+        except ValueError as exc:
+            raise ConfigError(f"bad value for {path}: {value!r}") from exc
+    key, rest = keys[0], keys[1:]
+    if isinstance(children, tuple) and isinstance(key, int) and key < len(node):
+        leaf = _replace_leaf(node[key], children[0], rest, value, path)
+        return (*node[:key], leaf, *node[key + 1:])
+    if kind is OtaParams and key == "a0_db" and not rest:
+        return replace(node, a0=db_to_gain(_replace_leaf(node.a0, float, rest, value, path)))
+    if isinstance(children, dict) and key in children:
+        leaf = _replace_leaf(getattr(node, key), children[key], rest, value, path)
+        return replace(node, **{key: leaf})
     raise ConfigError(f"unknown key: {path}")
 
 
 def set_param(config: AdcConfig, path: str, value) -> AdcConfig:
     """Return a copy of config with the dotted-path parameter replaced.
 
-    Paths mirror the config file keys: ``clock.fs``, ``reference.vref``,
+    Paths are the config file keys: ``clock.fs``, ``reference.vref``,
     ``sha.ota.beta``, ``stages[2].gain_mismatch``, ``flash_offsets[0]``,
     ``rng_seed``. Two conveniences: gains may be set in dB through an
     ``a0_db`` leaf, and the prefix ``ota.`` broadcasts one amplifier field to
     the SHA and all six stages at once.
     """
-    if path == "rng_seed":
-        try:
-            return replace(config, rng_seed=int(value))
-        except ValueError as exc:
-            raise ConfigError(f"bad value for rng_seed: {value!r}") from exc
-    head, _, rest = path.partition(".")
-    try:
-        if head == "reference" and rest == "vref":
-            return replace(config, reference=replace(config.reference, vref=float(value)))
-        if head == "clock":
-            if rest == "reset_enabled":
-                return replace(config, clock=replace(config.clock, reset_enabled=_as_bool(value)))
-            if rest in ("fs", "settle_fraction"):
-                return replace(config, clock=replace(config.clock, **{rest: float(value)}))
-        if head == "sha" and rest:
-            return replace(config, sha=_set_stage(config.sha, rest, value))
-        if head == "ota" and rest:
-            out = replace(config, sha=replace(config.sha, ota=_set_ota(config.sha.ota, rest, value)))
-            stages = tuple(replace(st, ota=_set_ota(st.ota, rest, value)) for st in out.stages)
-            return replace(out, stages=stages)
-        if head.startswith("stages[") and head.endswith("]") and rest:
-            i = int(head[7:-1])
-            if not 0 <= i < len(config.stages):
-                raise ConfigError(f"unknown key: {path} (stage index out of range)")
-            stages = list(config.stages)
-            stages[i] = _set_stage(stages[i], rest, value)
-            return replace(config, stages=tuple(stages))
-        if head.startswith("flash_offsets[") and head.endswith("]") and not rest:
-            i = int(head[14:-1])
-            if not 0 <= i < N_FLASH_THRESHOLDS:
-                raise ConfigError(f"unknown key: {path} (offset index out of range)")
-            offs = list(config.flash_offsets)
-            offs[i] = float(value)
-            return replace(config, flash_offsets=(offs[0], offs[1], offs[2]))
-    except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"bad value for {path}: {value!r}") from exc
-    raise ConfigError(f"unknown key: {path}")
+    keys = [int(m[1]) if (m := re.fullmatch(r"\[(\d+)\]", k)) else k
+            for k in re.split(r"\.|(?=\[)", path)]
+    if keys[0] == "ota":
+        sha, *stages = (_replace_leaf(st, StageParams, keys, value, path)
+                        for st in (config.sha, *config.stages))
+        return replace(config, sha=sha, stages=tuple(stages))
+    return _replace_leaf(config, AdcConfig, keys, value, path)
 
 
 def _as_bool(value) -> bool:
@@ -383,38 +368,27 @@ def _as_bool(value) -> bool:
     raise ConfigError(f"bad boolean: {value!r}")
 
 
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return repr(value)
+def _leaves(node, kind, path: str):
+    """(key, value text) for every leaf below node (declared as kind), in field order."""
+    children = _children(kind)
+    if isinstance(children, dict):
+        for name, child in children.items():
+            yield from _leaves(getattr(node, name), child, f"{path}.{name}" if path else name)
+    elif isinstance(children, tuple):
+        for i, item in enumerate(node):
+            yield from _leaves(item, children[0], f"{path}[{i}]")
+    else:
+        yield path, str(node).lower() if isinstance(node, bool) else repr(node)
 
 
 def config_to_text(config: AdcConfig) -> str:
     """Serialize every parameter as flat key = value lines (exact round trip)."""
-    lines = ["# pipeadc configuration"]
-    lines.append(f"reference.vref = {_fmt(config.reference.vref)}")
-    lines.append(f"clock.fs = {_fmt(config.clock.fs)}")
-    lines.append(f"clock.settle_fraction = {_fmt(config.clock.settle_fraction)}")
-    lines.append(f"clock.reset_enabled = {_fmt(config.clock.reset_enabled)}")
-    lines.append(f"rng_seed = {config.rng_seed}")
-
-    def stage_lines(prefix: str, st: StageParams) -> None:
-        for f in _STAGE_FIELDS:
-            lines.append(f"{prefix}.{f} = {_fmt(getattr(st, f))}")
-        for f in _OTA_FIELDS:
-            lines.append(f"{prefix}.ota.{f} = {_fmt(getattr(st.ota, f))}")
-
-    stage_lines("sha", config.sha)
-    for i, st in enumerate(config.stages):
-        stage_lines(f"stages[{i}]", st)
-    for i, off in enumerate(config.flash_offsets):
-        lines.append(f"flash_offsets[{i}] = {_fmt(off)}")
-    return "\n".join(lines) + "\n"
+    return "# pipeadc configuration\n" + "".join(f"{k} = {v}\n" for k, v in _leaves(config, AdcConfig, ""))
 
 
-def parse_config_text(text: str, base: AdcConfig | None = None) -> AdcConfig:
-    """Parse flat key = value lines onto the default config (or the given base)."""
-    config = base if base is not None else default_config()
+def parse_config_text(text: str) -> AdcConfig:
+    """Parse flat key = value lines onto the default config."""
+    config = default_config()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:

@@ -41,7 +41,6 @@ class LinearityReport:
     max_dnl: tuple[float, int]
     max_inl: tuple[float, int]
     missing_codes: tuple[int, ...]
-    hits_per_code: float
 
 
 @dataclass(frozen=True)
@@ -68,7 +67,6 @@ class SpectrumReport:
     power_dbc: np.ndarray
     freqs: np.ndarray
     signal_bin: int
-    signal_freq: float
     sndr_db: float
     sfdr_db: float
     enob: float
@@ -80,11 +78,11 @@ def ramp_linearity(stream: CodeStream) -> LinearityReport:
 
     DNL[k] = H[k]/H_avg - 1 over interior codes 1..254 with H_avg the mean
     interior count; INL is the running sum of DNL with the endpoint-fit line
-    removed, so INL[1] = INL[254] = 0. The stimulus must cover the range with
-    at least ``MIN_HITS`` samples per interior code on average; individual
-    missing codes are a property of the converter under test and are flagged
-    rather than rejected, unless so many are missing that the stimulus
-    clearly never spanned the range.
+    removed, so INL[1] = INL[254] = 0. The stimulus must give at least
+    ``MIN_HITS`` samples per interior code on average, and the codes it hits
+    must span at least half the range. Missing codes inside that span are a
+    property of the converter under test and are flagged (DNL -1), however
+    many there are.
     """
     codes = np.asarray(stream.codes)[stream.warmup:]
     if codes.size == 0:
@@ -97,11 +95,12 @@ def ramp_linearity(stream: CodeStream) -> LinearityReport:
         hist += part[:FULL_SCALE_CODES]
     interior = hist[1:FULL_SCALE_CODES - 1].astype(np.float64)
     h_avg = float(interior.mean())
-    missing = tuple(int(k) for k in np.nonzero(interior == 0)[0] + 1)
-    if h_avg < MIN_HITS or len(missing) > interior.size // 10:
+    hit = np.flatnonzero(hist)
+    if h_avg < MIN_HITS or hit[-1] - hit[0] < FULL_SCALE_CODES // 2:
         raise ValueError(
             f"insufficient code coverage: {h_avg:.1f} hits per interior code, "
-            f"{len(missing)} interior codes missing")
+            f"codes {hit[0]}-{hit[-1]} hit")
+    missing = tuple(int(k) for k in np.nonzero(interior == 0)[0] + 1)
 
     dnl = np.zeros(FULL_SCALE_CODES)
     dnl[1:FULL_SCALE_CODES - 1] = interior / h_avg - 1.0
@@ -119,8 +118,7 @@ def ramp_linearity(stream: CodeStream) -> LinearityReport:
     return LinearityReport(dnl=dnl, inl=inl,
                            max_dnl=(float(dnl[di]), di),
                            max_inl=(float(inl[ii]), ii),
-                           missing_codes=missing,
-                           hits_per_code=h_avg)
+                           missing_codes=missing)
 
 
 def _window(name: str, n: int) -> np.ndarray:
@@ -184,7 +182,6 @@ def sndr_sfdr_enob(data: SpectrumData, signal_bin: int) -> SpectrumReport:
     floor = p_sig * 10.0 ** (-2.0 * DB_CAP / 10.0)
     dbc = 10.0 * np.log10(np.maximum(p, floor) / p_sig)
     return SpectrumReport(power_dbc=dbc, freqs=data.freqs, signal_bin=signal_bin,
-                          signal_freq=float(data.freqs[signal_bin]),
                           sndr_db=sndr, sfdr_db=sfdr, enob=enob, window=data.window)
 
 

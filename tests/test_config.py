@@ -1,5 +1,7 @@
 import math
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -127,6 +129,32 @@ def test_unknown_key_rejected():
         parse_config_text("clock.frequency = 1e6")
     with pytest.raises(ConfigError, match="unknown key"):
         set_param(default_config(), "stages[9].gain_mismatch", 0.0)
+
+
+@pytest.mark.parametrize("path", [
+    "sha", "clock", "ota", "stages[2]", "flash_offsets", "stages[6].gain_mismatch",
+    "flash_offsets[3]", "sha.a0_db", "clock.t_settle",
+])
+def test_non_leaf_and_out_of_range_paths_are_unknown_keys(path):
+    with pytest.raises(ConfigError, match=f"^unknown key: {re.escape(path)}$"):
+        set_param(default_config(), path, 0.0)
+
+
+def test_readme_config_example_parses_to_its_values():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Configuration files", 1)[1].split("```")[1]
+    c = parse_config_text(block)
+    assert c.clock == ClockParams(fs=166.6e6, settle_fraction=0.387, reset_enabled=True)
+    assert c.reference.vref == 0.6
+    assert c.sha.ota.a0 == db_to_gain(67.0)
+    assert c.stages[2].gain_mismatch == 0.001
+    assert c.flash_offsets == (0.002, 0.0, 0.0)
+    assert c.rng_seed == 7
+    assert [st.ota.gbw for st in (c.sha, *c.stages)] == [950e6] * (N_STAGES + 1)
+    # everything the block does not name keeps its default
+    d = default_config()
+    assert c.stages[1] == replace(d.stages[1], ota=replace(d.stages[1].ota, gbw=950e6))
+    assert c.sha.ota == replace(d.sha.ota, a0=c.sha.ota.a0, gbw=950e6)
 
 
 def test_malformed_line_rejected():

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from pipeadc import (Budget, OtaParams, budget_from_config, default_config, ideal_config,
-                     min_dc_gain, min_gbw, settle_coefficients, sweep)
+from pipeadc import (Budget, OtaParams, budget_from_config, default_config, degraded_config,
+                     ideal_config, min_dc_gain, min_gbw, settle_coefficients, sweep)
 import pipeadc.solver
 from pipeadc.config import set_param
 from pipeadc.stages import settle_value
@@ -120,6 +120,13 @@ def test_sweep_dnl_metric_runs():
     pts = sweep(ideal_config(), "ota.a0_db", [100.0], "dnl", ramp_samples=2 ** 16)
     assert len(pts) == 1
     assert pts[0].metric < 0.05
+
+
+def test_sweep_dnl_reports_missing_codes():
+    # at 300 MHz the degraded preset misses dozens of codes; that is DNL -1,
+    # not a stimulus too poor to measure
+    pts = sweep(degraded_config(seed=0), "ota.gbw", [3e8], "dnl", ramp_samples=2 ** 18)
+    assert [p.metric for p in pts] == [1.0]
 
 
 def test_sweep_parallel_matches_serial():
