@@ -6,8 +6,8 @@ from .config import (AdcConfig, ClockParams, CodeStream, ConfigError, OtaParams,
                      parse_config_text, preset_config, save_config, set_param,
                      settling_fit_config, validate, with_mismatch)
 from .correction import correct_result, correct_stream, digitize, ideal_quantize
-from .engine import (PIPELINE_LATENCY_SAMPLES, PipelineEngine, PipelineState,
-                     SettleRow, SimulationResult, settle_report)
+from .engine import (PIPELINE_LATENCY_SAMPLES, PipelineEngine, SettleRow, SimulationResult,
+                     settle_report)
 from .metrics import (LinearityReport, SpectrumData, SpectrumReport,
                       coherent_frequency, ramp_linearity, sndr_sfdr_enob, spectrum)
 from .solver import (Budget, GainRequirement, SweepPoint, budget_from_config, min_dc_gain,

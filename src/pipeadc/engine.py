@@ -11,7 +11,7 @@ outputs of any run are warm-up.
 Amplifier sharing
 -----------------
 Six stages ride on three shared amplifiers, paired (1,2), (3,4), (5,6) by
-default; the SHA has its own. Within one step the stages amplify in stage
+default; the SHA has its own. Within one sample the stages amplify in stage
 order, so a shared amplifier's history alternates between its two stages.
 With the reset phase enabled every amplification starts from a discharged
 output (v_init = 0); without it, k_mem times the amplifier's previous settled
@@ -20,8 +20,7 @@ phase exists to kill.
 
 Blocks and relaxation
 ---------------------
-``step`` is the sequential definition. ``simulate`` computes the same numbers
-with array sweeps, one block of ``BLOCK_SAMPLES`` samples at a time; a block
+``simulate`` runs the chain in blocks of ``BLOCK_SAMPLES`` samples; a block
 starts from the residues the previous block settled last, which are also
 what every amplifier last put out. With memory the channels relax in
 amplifier groups, the strongly connected components of the graph with
@@ -32,23 +31,22 @@ first stage decides once per block (waveform relaxation, Lelarasmee,
 Ruehli & Sangiovanni-Vincentelli, IEEE TCAD 1(3), 1982). The second stage
 on an amplifier takes its v_init from its partner's output in the same
 sweep, the SHA and the first stage on each amplifier theirs from the
-previous sweep, one sample earlier; a group repeats its sweep until none of
-its residues changes a bit (once when memoryless). Every sweep applies the
-same float operations per element as ``step``, so a bitwise fixed point
-satisfies each per-sample equation and, by induction on the sample index,
-is the sequential result. A sample only depends on earlier samples of the
-previous sweep, so the samples before the first one that changed are final
-and later sweeps recompute only the suffix. If a group is still unconverged
-from sample s on after ``MAX_SWEEPS`` sweeps, the later groups relax only
-the samples before s and ``step`` finishes the block from the lowest such
-s. ``step`` and the sweeps call the same stage laws, ``sub_adc_decide``,
-``mdac_residue``, ``flash2b`` and ``settle_value``, on floats and on arrays
-respectively.
+previous sweep, one sample earlier; a group repeats its array sweep until
+none of its residues changes a bit (once when memoryless). A bitwise fixed
+point satisfies each per-sample equation and, by induction on the sample
+index, is the sequential result. A sample only depends on earlier samples
+of the previous sweep, so the samples before the first one that changed
+are final and later sweeps recompute only the suffix. A group still
+unconverged from sample s on after ``MAX_SWEEPS`` sweeps is finished from s
+one sample at a time on its own (``_step``); the groups after it still
+relax over the whole block. The laws are written once, ``sub_adc_decide``,
+``mdac_residue``, ``flash2b`` and ``settle_value``, and the sweeps call
+them on arrays, the group stepper on floats.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,11 +66,12 @@ DEFAULT_PAIRING = ((1, 2), (3, 4), (5, 6))
 # single 2^20 block about 3x.
 BLOCK_SAMPLES = 16384
 
-# Sweeps one amplifier group may take in a block before ``step`` finishes
-# the block. A sweep of a stage pair over 8K samples costs about as much as
-# stepping 6 samples, so a block that hits the cap costs about 1.06x
-# stepping it all; the degraded preset converges within the cap at every
-# k_mem <= 1 from 250 MHz GBW up, and at k_mem <= 0.5 from 100 MHz up.
+# Sweeps one amplifier group may take in a block before ``_step`` finishes
+# the group. A stage pair's sweep over a full block costs about as much as
+# stepping that pair over 190 samples, so a group that stalls costs at most
+# about 1.75x stepping it outright; the degraded preset converges within the
+# cap at every k_mem <= 1 from 250 MHz GBW up, and at k_mem <= 0.5 from
+# 100 MHz up.
 MAX_SWEEPS = 64
 
 # Largest accepted |input| in units of vref. With |gain_mismatch| < 0.5,
@@ -83,21 +82,6 @@ MAX_SWEEPS = 64
 # overflow; ``simulate`` then raises, naming the first non-finite sample.
 INPUT_LIMIT_VREF = 1e6
 
-@dataclass
-class PipelineState:
-    """Mutable sequential state: in-flight residues and per-amplifier memory.
-
-    residues[0] is the SHA output, residues[1..6] the stage residues settled
-    at the previous step. ota_last[0] is the SHA amplifier, ota_last[1..]
-    the shared amplifiers in pairing order. Single-threaded by design; run
-    independent engines for parallelism.
-    """
-
-    residues: list[float] = field(default_factory=lambda: [0.0] * (N_STAGES + 1))
-    ota_last: list[float] = field(default_factory=lambda: [0.0] * 4)
-    n: int = 0
-
-
 @dataclass(frozen=True)
 class SimulationResult:
     """Raw decision stream plus optional residue traces for one run.
@@ -106,8 +90,9 @@ class SimulationResult:
     stores it column-major, one contiguous column per stage. flash has shape
     (n,) with values in {0..3}; residues has shape (n, 7) when recorded.
     sweeps is the most array sweeps any amplifier group of any block took (1
-    when memoryless) and stepped_samples the samples finished one at a time
-    by ``step``.
+    when memoryless). stepped_samples counts the samples each stalled group
+    finished one at a time, summed over groups and blocks, so it can reach
+    four times the run length (the SHA and three amplifier pairs).
     """
 
     vin: np.ndarray
@@ -132,9 +117,9 @@ class SettleRow:
 class PipelineEngine:
     """Compiled form of one AdcConfig: per-amplifier settling coefficients and memory wiring.
 
-    The engine itself is immutable after construction; sequential state lives
-    in PipelineState objects, so one engine can serve many runs. Per-amplifier
-    lists are indexed by channel: 0 is the SHA, k is stage k.
+    The engine is immutable after construction and keeps no run state, so
+    one engine can serve many runs. Per-amplifier lists are indexed by
+    channel: 0 is the SHA, k is stage k.
     """
 
     def __init__(self, config: AdcConfig, pairing: tuple[tuple[int, int], ...] = DEFAULT_PAIRING):
@@ -144,17 +129,10 @@ class PipelineEngine:
         c = self.config
         t = c.clock.t_settle
         self.vref = c.reference.vref
-        self._reset = c.clock.reset_enabled
-        # slot 0 is the SHA amplifier; _last_user[slot] is the channel that
-        # amplifies last on it within a step, whose output the next step sees
-        self._slot_of = {}
-        self._last_user = [0]
-        # channel -> (channel whose output sets its v_init, same step?)
+        # channel -> (channel whose output sets its v_init, same sample?)
         self._mem_src = {0: (0, False)}
-        for slot, pair in enumerate(pairing, start=1):
-            self._last_user.append(max(pair))
+        for pair in pairing:
             for stage_no in pair:
-                self._slot_of[stage_no] = slot
                 before = [other for other in pair if other < stage_no]
                 self._mem_src[stage_no] = (max(before), True) if before else (max(pair), False)
         self._g = []
@@ -165,7 +143,7 @@ class PipelineEngine:
             self._g.append(g)
             self._e.append(e)
             self._kmem.append(amp.ota.k_mem)
-        self._memoryless = self._reset or all(k == 0.0 for k in self._kmem)
+        self._memoryless = c.clock.reset_enabled or all(k == 0.0 for k in self._kmem)
         # Relaxation groups in chain order: with memory, the strongly connected
         # components of the channel graph (edges k-1 -> k and each _mem_src ->
         # its channel). The chain edges make each a run of channels; a memory
@@ -178,45 +156,6 @@ class PipelineEngine:
             reach = max(reach, N_STAGES if self._memoryless else self._mem_src[ch][0])
         self._groups = [range(a, b) for a, b in zip(starts, starts[1:] + [N_STAGES + 1])]
 
-    def new_state(self) -> PipelineState:
-        return PipelineState(ota_last=[0.0] * len(self._last_user))
-
-    # -- scalar state machine ------------------------------------------------
-
-    def step(self, vin: float, state: PipelineState) -> tuple[tuple[int, ...], int, tuple[float, ...]]:
-        """Advance one sample; mutates state, returns (decisions, d_flash, residues).
-
-        All stage decisions read the residues the previous step left behind,
-        so the data for one input sample marches down the chain one slice per
-        step. residues are the SHA and stage outputs this step settled.
-        """
-        c = self.config
-        prev = state.residues
-        new_res = [0.0] * (N_STAGES + 1)
-
-        v_init = 0.0 if self._reset else self._kmem[0] * state.ota_last[0]
-        sha_out = settle_value(vin, v_init, self._g[0], self._e[0])
-        state.ota_last[0] = sha_out
-        new_res[0] = sha_out
-
-        decisions = []
-        for k in range(1, N_STAGES + 1):
-            st = c.stages[k - 1]
-            u = prev[k - 1]
-            d = sub_adc_decide(u, st, self.vref)
-            target = mdac_residue(u, d, st, self.vref)
-            slot = self._slot_of[k]
-            v_init = 0.0 if self._reset else self._kmem[k] * state.ota_last[slot]
-            out = settle_value(target, v_init, self._g[k], self._e[k])
-            state.ota_last[slot] = out
-            new_res[k] = out
-            decisions.append(d)
-
-        d_flash = flash2b(prev[N_STAGES], c.flash_offsets, self.vref)
-        state.residues = new_res
-        state.n += 1
-        return tuple(decisions), d_flash, tuple(new_res)
-
     # -- batch driver ----------------------------------------------------------
 
     def simulate(self, waveform, record_residues: bool = True) -> SimulationResult:
@@ -226,8 +165,8 @@ class PipelineEngine:
         blocks of ``BLOCK_SAMPLES``, relaxed one amplifier group at a time.
         Without memory (reset enabled, or every k_mem zero) the chain is one
         group and takes one array sweep; with it a group repeats its sweep
-        until its residues reach a bitwise fixed point, and ``step`` finishes
-        what a group left unconverged after ``MAX_SWEEPS`` sweeps.
+        until its residues reach a bitwise fixed point, and ``_step``
+        finishes what a group left unconverged after ``MAX_SWEEPS`` sweeps.
         Raises, naming the first bad sample, on non-finite input, input
         beyond ``INPUT_LIMIT_VREF`` times vref, and residues that overflow to
         non-finite values.
@@ -279,33 +218,31 @@ class PipelineEngine:
         """
         if not self._memoryless:
             cols[:, 1:] = 0.0  # pass 0 guesses discharged amplifiers
-        n, most = v.size, 0  # samples before n have final inputs for the next group
+        n, most, stepped = v.size, 0, 0
         for group in self._groups:  # its upstream is final: decide once, not per sweep
             k = group[0]
-            target = v[:n] if k == 0 else self._target(k, cols[k - 1, :n], decisions[:n])
+            target = v if k == 0 else self._target(k, cols[k - 1, :n], decisions)
             start = sweeps = 0
             while start < n and sweeps < MAX_SWEEPS:
                 # the first changed sample was computed from final inputs: it is final too
-                start = min(self._sweep(group, target, start, decisions[:n], cols[:, :n + 1]) + 1, n)
+                start = min(self._sweep(group, target, start, decisions, cols) + 1, n)
                 sweeps += 1
             most = max(most, sweeps)
-            n = start
-        flash[:n] = flash2b(cols[N_STAGES, :n], self.config.flash_offsets, self.vref)
-        if n < v.size:
-            state = PipelineState(residues=[float(x) for x in cols[:, n]],
-                                  ota_last=[float(cols[ch, n]) for ch in self._last_user], n=n)
-            self._step_through(v, state, decisions, flash, cols.T[1:])
-        return most, v.size - n
+            if start < n:
+                self._step(group, target, start, decisions, cols)
+                stepped += n - start
+        flash[:] = flash2b(cols[N_STAGES, :n], self.config.flash_offsets, self.vref)
+        return most, stepped
 
     def _sweep(self, group: range, target: np.ndarray, start: int, decisions: np.ndarray,
                cols: np.ndarray) -> int:
         """One array pass over the channels of ``group`` and block samples ``start:``.
 
-        ``cols`` ends at the last sample to relax. The group's first channel
-        settles toward ``target``; the others decide on their predecessor.
-        Writes decisions[start:] and cols[group, 1 + start:]. With memory
-        ``cols`` holds the previous pass, final before ``start``, and v_init
-        is k_mem times the amplifier's previous output as ``step`` sees it.
+        The group's first channel settles toward ``target``; the others
+        decide on their predecessor. Writes decisions[start:] and
+        cols[group, 1 + start:]. With memory ``cols`` holds the previous
+        pass, final before ``start``, and v_init is k_mem times the output
+        the amplifier last put out in sample order (``_mem_src``).
         Returns the first sample at which a residue changed bits (the pass
         length when none did, or without memory).
         """
@@ -342,20 +279,36 @@ class PipelineEngine:
         cols[ch, 1 + start:] = settled
         return first
 
-    def _step_through(self, v, state, decisions, flash, residues) -> None:
-        """Run ``step`` over samples state.n.. of v, writing each one's output row."""
-        for i in range(state.n, v.size):
-            decisions[i, :], flash[i], residues[i, :] = self.step(float(v[i]), state)
+    def _step(self, group: range, target: np.ndarray, start: int, decisions: np.ndarray,
+              cols: np.ndarray) -> None:
+        """Finish ``group`` from block sample ``start`` one sample at a time, on floats.
 
-    def _simulate_stepped(self, v: np.ndarray) -> SimulationResult:
-        """The sequential reference: ``step`` over every sample."""
-        n = v.size
-        decisions = np.empty((n, N_STAGES), dtype=np.int8)
-        flash = np.empty(n, dtype=np.int8)
-        residues = np.empty((n, N_STAGES + 1), dtype=np.float64)
-        self._step_through(v, self.new_state(), decisions, flash, residues)
-        return SimulationResult(vin=v, decisions=decisions, flash=flash, residues=residues,
-                                fs=self.config.clock.fs, stepped_samples=n)
+        Takes the arguments of ``_sweep`` and writes what its fixed point
+        would: decisions[start:] and cols[group, 1 + start:]. Each sample
+        runs the group's channels in order, so an amplifier's previous output
+        is final when read from ``cols`` through ``_mem_src``. Only memory
+        configs stall, so v_init is always k_mem times that output.
+        """
+        rows = {ch: cols[ch].tolist() for ch in group}
+        targets = target.tolist()
+        digits = {k: [] for k in group[1:]}
+        for i in range(start, len(targets)):
+            for ch in group:
+                if ch == group[0]:
+                    t = targets[i]
+                else:
+                    u, st = rows[ch - 1][i], self.config.stages[ch - 1]
+                    d = sub_adc_decide(u, st, self.vref)
+                    digits[ch].append(d)
+                    t = mdac_residue(u, d, st, self.vref)
+                src, same_step = self._mem_src[ch]
+                prev_out = rows[src][i + 1 if same_step else i]
+                rows[ch][i + 1] = settle_value(t, self._kmem[ch] * prev_out, self._g[ch],
+                                               self._e[ch])
+        for ch in group:
+            cols[ch, 1 + start:] = rows[ch][1 + start:]
+        for k, ds in digits.items():
+            decisions[start:, k - 1] = ds
 
 
 def settle_report(config: AdcConfig) -> list[SettleRow]:

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -132,6 +131,8 @@ def sweep(config: AdcConfig, axis: str, values, metric: str,
     tasks = [(config, axis, float(v), metric, n_fft, ramp_samples) for v in values]
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
     if workers > 1:
+        # imported here: it pulls in multiprocessing, which every other command can skip
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             metrics = list(pool.map(_sweep_one, tasks))
     else:

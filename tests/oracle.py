@@ -1,0 +1,52 @@
+"""Sequential reference for the engine: the chain stepped one sample at a time.
+
+It calls the stage laws but none of the engine's wiring: the amplifier each
+stage uses comes from the pairing alone, so a fault in how the engine derives
+its memory sources or relaxation groups shows up as a difference.
+"""
+
+import numpy as np
+
+from pipeadc import SimulationResult, flash2b, mdac_residue, settle_coefficients, sub_adc_decide
+from pipeadc.config import N_STAGES
+from pipeadc.engine import DEFAULT_PAIRING
+from pipeadc.stages import settle_value
+
+
+def stepped(config, wave, pairing=DEFAULT_PAIRING):
+    """Run ``wave`` through SHA, stages 1-6 and flash one sample at a time, on floats.
+
+    At each sample the SHA settles toward the input, stage k decides on and
+    amplifies what stage k-1 settled one sample earlier, and the flash decides
+    on what stage 6 settled. The stages amplify in order, and each amplifier
+    keeps the last output put out on it: with the reset phase off, k_mem
+    times that output is where its next amplification starts.
+    """
+    vref = config.reference.vref
+    reset = config.clock.reset_enabled
+    amps = [config.sha] + list(config.stages)
+    coeffs = [settle_coefficients(amp.ota, config.clock.t_settle) for amp in amps]
+    slot = {0: 0} | {k: s for s, pair in enumerate(pairing, start=1) for k in pair}
+    last = [0.0] * (len(pairing) + 1)  # last output of the SHA amplifier, then each pair's
+    wave = np.asarray(wave, dtype=np.float64)
+    n = wave.size
+    decisions = np.empty((n, N_STAGES), dtype=np.int8)
+    flash = np.empty(n, dtype=np.int8)
+    residues = np.empty((n, N_STAGES + 1), dtype=np.float64)
+    prev = [0.0] * (N_STAGES + 1)
+    for i, vin in enumerate(wave.tolist()):
+        flash[i] = flash2b(prev[N_STAGES], config.flash_offsets, vref)
+        out = []
+        for k, amp in enumerate(amps):
+            if k == 0:
+                target = vin
+            else:
+                d = sub_adc_decide(prev[k - 1], amp, vref)
+                decisions[i, k - 1] = d
+                target = mdac_residue(prev[k - 1], d, amp, vref)
+            v_init = 0.0 if reset else amp.ota.k_mem * last[slot[k]]
+            last[slot[k]] = settle_value(target, v_init, *coeffs[k])
+            out.append(last[slot[k]])
+        residues[i] = prev = out
+    return SimulationResult(vin=wave, decisions=decisions, flash=flash, residues=residues,
+                            fs=config.clock.fs)

@@ -18,6 +18,8 @@ from pipeadc import (Budget, CodeStream, OtaParams, PIPELINE_LATENCY_SAMPLES, Pi
 from pipeadc.config import set_param
 from pipeadc.stages import settle_value
 
+from oracle import stepped
+
 VREF = 0.6
 NFFT = 4096
 
@@ -207,7 +209,7 @@ def test_criterion_7_reset_phase():
     wave = generate(Waveform(kind="sine", length=512, amplitude=VREF,
                              frequency=base.clock.fs / 16.0), base.clock)
     on_run = PipelineEngine(base).simulate(wave)
-    off_run = PipelineEngine(clean)._simulate_stepped(np.asarray(wave))
+    off_run = stepped(clean, wave)
     identical = (np.array_equal(on_run.decisions, off_run.decisions)
                  and np.array_equal(on_run.flash, off_run.flash)
                  and np.array_equal(on_run.residues, off_run.residues))

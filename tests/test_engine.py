@@ -13,6 +13,8 @@ from pipeadc import engine
 from pipeadc.config import set_param
 from pipeadc.engine import MAX_SWEEPS
 
+from oracle import stepped
+
 VREF = 0.6
 
 
@@ -69,8 +71,7 @@ def test_over_range_input_rejected():
     wave = np.array([1e6, -1e6, 0.0, 1e6, 0.3]) * VREF
     with np.errstate(over="raise", invalid="raise"):
         for cfg in (ideal_config(), degraded_config(seed=2)):
-            eng = PipelineEngine(cfg)
-            assert_bit_identical(eng.simulate(wave), eng._simulate_stepped(wave))
+            assert_bit_identical(PipelineEngine(cfg).simulate(wave), stepped(cfg, wave))
 
 
 def test_single_sample_run():
@@ -94,10 +95,8 @@ def test_vectorized_path_matches_stepped_path():
     eng = PipelineEngine(cfg)
     wave = np.sin(np.linspace(0, 11, 300)) * 0.55
     fast = eng.simulate(wave)
-    slow = eng._simulate_stepped(np.asarray(wave, dtype=np.float64))
-    assert_bit_identical(fast, slow)
+    assert_bit_identical(fast, stepped(cfg, wave))
     assert (fast.sweeps, fast.stepped_samples) == (1, 0)
-    assert (slow.sweeps, slow.stepped_samples) == (0, 300)
 
 
 @settings(derandomize=True, deadline=None, max_examples=80, database=None)
@@ -107,9 +106,11 @@ def test_vectorized_path_matches_stepped_path():
        seed=st.integers(0, 2 ** 16),
        order=st.permutations(range(1, 7)),
        reset=st.booleans(),
-       block=st.integers(1, 64))
-def test_relaxation_matches_stepped_property(wave, k_mem, gbw, seed, order, reset, block):
-    # small blocks make short runs cross many block boundaries
+       block=st.integers(1, 64),
+       cap=st.integers(1, 8))
+def test_relaxation_matches_stepped_property(wave, k_mem, gbw, seed, order, reset, block, cap):
+    # small blocks make short runs cross many block boundaries, and a small
+    # sweep cap makes groups stall, so that ``_step`` finishes them
     cfg = set_param(memory_config(seed=seed, gbw=gbw), "clock.reset_enabled", reset)
     cfg = set_param(cfg, "sha.ota.k_mem", k_mem[0])
     for k in range(6):
@@ -118,12 +119,13 @@ def test_relaxation_matches_stepped_property(wave, k_mem, gbw, seed, order, rese
     eng = PipelineEngine(cfg, pairing=pairing)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(engine, "BLOCK_SAMPLES", block)
+        mp.setattr(engine, "MAX_SWEEPS", cap)
         fast = eng.simulate(wave)
-    assert_bit_identical(fast, eng._simulate_stepped(wave))
-    assert 1 <= fast.sweeps <= MAX_SWEEPS
+    assert_bit_identical(fast, stepped(cfg, wave, pairing))
+    assert 1 <= fast.sweeps <= cap
+    assert 0 <= fast.stepped_samples <= 4 * wave.size
     if reset or not any(k_mem):
-        assert fast.sweeps == 1
-    assert fast.stepped_samples == 0  # a block of at most MAX_SWEEPS samples never hits the cap
+        assert (fast.sweeps, fast.stepped_samples) == (1, 0)
 
 
 def test_relaxation_hits_sweep_cap_and_stays_exact():
@@ -131,13 +133,14 @@ def test_relaxation_hits_sweep_cap_and_stays_exact():
     # its previous output per sample, so sweeps j and j+1 differ by about
     # 0.985**j of full scale and a bitwise fixed point needs thousands of
     # sweeps. A sweep finalizes at least one sample, so the run is made
-    # longer than MAX_SWEEPS for the cap to bind.
+    # longer than MAX_SWEEPS for the cap to bind. The stage groups stall as
+    # well, and each is stepped on its own: stepped_samples sums over groups.
     eng = PipelineEngine(memory_config(seed=1, k_mem=1.0, gbw=1e6))
     wave = np.sin(np.linspace(0, 23, 3 * MAX_SWEEPS)) * VREF
     fast = eng.simulate(wave)
     assert fast.sweeps == MAX_SWEEPS
-    assert 0 < fast.stepped_samples < wave.size
-    assert_bit_identical(fast, eng._simulate_stepped(wave))
+    assert wave.size < fast.stepped_samples < 4 * wave.size
+    assert_bit_identical(fast, stepped(eng.config, wave))
     lean = eng.simulate(wave, record_residues=False)
     assert lean.residues is None
     assert np.array_equal(lean.decisions, fast.decisions)
@@ -158,8 +161,8 @@ def test_sweep_cap_in_a_middle_block_stays_exact(monkeypatch):
     # the zero block leaves the state a run starts from, so the middle block
     # run alone steps the same samples, and the other blocks step none
     alone = eng.simulate(sine)
-    assert 0 < fast.stepped_samples == alone.stepped_samples < block
-    assert_bit_identical(fast, eng._simulate_stepped(wave))
+    assert 0 < fast.stepped_samples == alone.stepped_samples < 4 * block
+    assert_bit_identical(fast, stepped(eng.config, wave))
     lean = eng.simulate(wave, record_residues=False)
     assert np.array_equal(lean.decisions, fast.decisions)
     assert np.array_equal(lean.flash, fast.flash)
@@ -167,16 +170,32 @@ def test_sweep_cap_in_a_middle_block_stays_exact(monkeypatch):
 
 def test_sweep_cap_in_a_later_group_stays_exact():
     # A memoryless SHA converges at once, while at 1 MHz GBW the stages keep
-    # about 0.985 of their last output, so group {1, 2} hits the cap at some
-    # sample s. Groups {3, 4} and {5, 6} must still be relaxed over the
-    # samples before s, whose inputs are final, before ``step`` resumes at s.
+    # about 0.985 of their last output, so each stage group hits the cap at
+    # some sample and ``_step`` finishes it from there. Each group takes its
+    # input from the one before it once that one is final, stepped or not.
     cfg = set_param(memory_config(seed=1, k_mem=1.0, gbw=1e6), "sha.ota.k_mem", 0.0)
     eng = PipelineEngine(cfg)
     wave = np.sin(np.linspace(0, 23, 3 * MAX_SWEEPS)) * VREF
     fast = eng.simulate(wave)
     assert fast.sweeps == MAX_SWEEPS
+    assert wave.size < fast.stepped_samples < 3 * wave.size
+    assert_bit_identical(fast, stepped(eng.config, wave))
+
+
+def test_sweep_cap_in_an_early_group_leaves_later_groups_relaxing():
+    # Only stages 1 and 2 are slow (1 MHz, k_mem 1.0), so group {1, 2} stalls
+    # at some sample s and is stepped from there. Groups {3, 4} and {5, 6}
+    # (500 MHz, k_mem 0.5) still converge by sweeps over the whole block,
+    # past s, so fewer samples are stepped than the run holds.
+    cfg = memory_config(seed=1, k_mem=0.5, gbw=500e6)
+    for k in (0, 1):
+        cfg = set_param(set_param(cfg, f"stages[{k}].ota.gbw", 1e6), f"stages[{k}].ota.k_mem", 1.0)
+    eng = PipelineEngine(cfg)
+    wave = np.sin(np.linspace(0, 23, 3 * MAX_SWEEPS)) * VREF
+    fast = eng.simulate(wave)
+    assert fast.sweeps == MAX_SWEEPS
     assert 0 < fast.stepped_samples < wave.size
-    assert_bit_identical(fast, eng._simulate_stepped(wave))
+    assert_bit_identical(fast, stepped(cfg, wave))
 
 
 @pytest.mark.parametrize("reset,pairing,groups", [
@@ -199,13 +218,13 @@ def test_overflowing_memory_run_matches_stepped(monkeypatch):
     # about 30 % a sample until residues overflow to inf and NaN (at sample
     # 2390 here). simulate must refuse the run, naming the sample where the
     # stepped oracle first goes non-finite, and match the oracle bit for bit
-    # before it. Blocks of MAX_SWEEPS samples put that sample in a late block
-    # and keep the cap fallback from computing it; one block may hit the cap.
-    eng = PipelineEngine(memory_config(seed=0, k_mem=1.0, gbw=100e6),
-                         pairing=((1, 6), (2, 3), (4, 5)))
+    # before it. Blocks of MAX_SWEEPS samples put that sample in a late block,
+    # where the sweeps rather than ``_step`` compute it; one block may hit the cap.
+    cfg, pairing = memory_config(seed=0, k_mem=1.0, gbw=100e6), ((1, 6), (2, 3), (4, 5))
+    eng = PipelineEngine(cfg, pairing=pairing)
     wave = np.full(2500, 1.5 * VREF)
     with np.errstate(over="ignore", invalid="ignore"):
-        slow = eng._simulate_stepped(wave)
+        slow = stepped(cfg, wave, pairing)
         bad = ~np.isfinite(slow.residues).all(axis=1)
         first = int(bad.argmax())
         assert 0 < first and bad[first:].all()
@@ -226,7 +245,7 @@ def test_memory_run_converges_in_few_sweeps():
     fast = eng.simulate(wave)
     assert 1 < fast.sweeps < MAX_SWEEPS
     assert fast.stepped_samples == 0
-    assert_bit_identical(fast, eng._simulate_stepped(wave))
+    assert_bit_identical(fast, stepped(eng.config, wave))
 
 
 def test_reset_clears_all_memory():
@@ -253,7 +272,7 @@ def test_kmem_zero_equals_reset_enabled_bitwise():
     wave = np.sin(np.linspace(0, 9, 400)) * VREF
     a = PipelineEngine(base).simulate(wave)
     # force the sequential path so the equivalence is not just shared code
-    b = PipelineEngine(no_reset)._simulate_stepped(np.asarray(wave))
+    b = stepped(no_reset, wave)
     assert np.array_equal(a.decisions, b.decisions)
     assert np.array_equal(a.flash, b.flash)
     assert np.array_equal(a.residues, b.residues)
@@ -291,20 +310,6 @@ def test_ota_pairing_matters_without_reset():
 def test_pairing_must_cover_all_stages():
     with pytest.raises(ValueError, match="pairing"):
         PipelineEngine(default_config(), pairing=((1, 2), (3, 4), (5, 5)))
-
-
-def test_step_trace_contents():
-    eng = PipelineEngine(ideal_config())
-    state = eng.new_state()
-    decisions, d_flash, residues = eng.step(0.3 * VREF, state)
-    assert len(decisions) == 6
-    assert 0 <= d_flash <= 3
-    assert state.n == 1
-    assert residues == tuple(state.residues)
-    assert len(residues) == 7
-    eng.step(0.0, state)
-    assert state.n == 2
-    assert residues[0] == pytest.approx(0.3 * VREF, rel=1e-8)
 
 
 MAX_FLOAT = float(np.finfo(np.float64).max)

@@ -1,4 +1,9 @@
+import concurrent.futures
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -166,9 +171,24 @@ def test_sweep_clamps_pool_size(monkeypatch, jobs, n_values, cpus, workers):
         def map(self, fn, tasks):
             return map(fn, tasks)
 
-    monkeypatch.setattr(pipeadc.solver, "ProcessPoolExecutor", RecordingPool)
+    # sweep imports the pool class from concurrent.futures when it needs one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(pipeadc.solver.os, "cpu_count", lambda: cpus)
     vals = [60.0, 80.0, 100.0][:n_values]
     pts = sweep(ideal_config(), "ota.a0_db", vals, "enob", n_fft=256, jobs=jobs)
     assert [p.value for p in pts] == vals
     assert pools == ([] if workers is None else [workers])
+
+
+def test_import_loads_no_process_pool():
+    # only a parallel sweep needs the process pool, so importing the package
+    # (which every command does) must not pay for multiprocessing
+    src = str(Path(pipeadc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = ("import sys, pipeadc; print(sorted(m for m in sys.modules if m in "
+            "('concurrent.futures.process', 'multiprocessing')))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
