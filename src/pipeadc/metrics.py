@@ -189,22 +189,19 @@ def coherent_frequency(fs: float, n_fft: int, f_target: float) -> tuple[float, i
     """Snap a target frequency to the nearest coherent odd bin.
 
     Returns (f_in, M) with f_in = M*fs/n_fft, where M is the odd integer
-    coprime to n_fft closest to f_target*n_fft/fs; equidistant ties take the
-    larger odd. Odd M guarantees coprimality for the power-of-two n_fft used
-    here, so every sample of the record lands on a distinct phase.
+    closest to f_target*n_fft/fs within [1, n_fft/2); equidistant ties take
+    the larger odd. n_fft must be a power of two >= 4, the smallest size with
+    a bin strictly inside (0, n_fft/2); odd M is then coprime to n_fft, so
+    every sample of the record lands on a distinct phase.
     """
+    if n_fft < 4 or n_fft & (n_fft - 1):
+        raise ValueError(f"n_fft must be a power of two >= 4, got {n_fft}")
     if not 0.0 < f_target < fs / 2.0:
         raise ValueError("target frequency must lie in (0, fs/2)")
     m_real = f_target * n_fft / fs
-    lo = 2 * int((m_real - 1.0) // 2.0) + 1
-    lo = max(1, lo)
+    lo = max(1, 2 * int((m_real - 1.0) // 2.0) + 1)
     hi = lo + 2
     m = hi if (hi - m_real) <= (m_real - lo) else lo
     top = n_fft // 2 - 1
     m = min(m, top if top % 2 else top - 1)
-    m = max(1, m)
-    while math.gcd(m, n_fft) != 1:
-        m -= 2
-        if m < 1:
-            raise ValueError("no coherent bin available")
     return m * fs / n_fft, m

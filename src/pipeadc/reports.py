@@ -2,7 +2,9 @@
 
 All files are plain text with a self-describing header row, written with
 deterministic float formatting (shortest round-trip repr) and '\n' line ends,
-so identical runs produce byte-identical files.
+so identical runs produce byte-identical files. Rows are formatted from whole
+columns, ``CHUNK_ROWS`` at a time; the bytes are those of a ``csv.writer``
+fed ``int(x)`` and ``repr(float(x))`` row by row.
 """
 
 from __future__ import annotations
@@ -17,25 +19,38 @@ from .engine import SettleRow, SimulationResult
 from .metrics import LinearityReport, SpectrumReport
 from .solver import SweepPoint
 
+CHUNK_ROWS = 1 << 14  # rows held as Python objects at once
 
-def _write(path, header, rows) -> Path:
+
+def _write(path, header, fmt, columns) -> Path:
+    """Write ``header``, then one ``fmt`` line per row of the equal-length ``columns``.
+
+    ``fmt`` has one conversion per column: %d for an int, %s for a str and
+    %r for a float, its shortest repr. A %r column is read as float64, so no
+    numpy scalar reaches repr. Columns are numpy arrays, ranges or lists.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    width = len(columns)
+    floats = [kind == "%r" for kind in fmt.split(",")]
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        csv.writer(fh, lineterminator="\n").writerow(header)
+        for start in range(0, len(columns[0]), CHUNK_ROWS):
+            rows = min(CHUNK_ROWS, len(columns[0]) - start)
+            flat = [None] * (width * rows)
+            for j, (column, is_float) in enumerate(zip(columns, floats)):
+                part = column[start:start + rows]
+                part = np.asarray(part, dtype=float) if is_float else part
+                flat[j::width] = part.tolist() if isinstance(part, np.ndarray) else part
+            fh.write(((fmt + "\n") * rows) % tuple(flat))
     return path
 
 
-def _f(x) -> str:
-    return repr(float(x))
-
-
 def write_codes_csv(path, stream: CodeStream) -> Path:
-    rows = ((n, int(c), int(n < stream.warmup))
-            for n, c in enumerate(np.asarray(stream.codes)))
-    return _write(path, ["sample_index", "code", "warmup_flag"], rows)
+    warmup = np.zeros(len(stream.codes), dtype=bool)
+    warmup[:stream.warmup] = True
+    return _write(path, ["sample_index", "code", "warmup_flag"], "%d,%d,%d",
+                  [range(len(stream.codes)), stream.codes, warmup])
 
 
 def write_trace_csv(path, result: SimulationResult) -> Path:
@@ -45,36 +60,31 @@ def write_trace_csv(path, result: SimulationResult) -> Path:
     header = (["n", "vin_v", "sha_v"]
               + [f"stage{k}_residue_v" for k in range(1, 7)]
               + [f"d{k}" for k in range(1, 7)] + ["dflash"])
-    rows = []
-    for n in range(len(result.flash)):
-        row = [n, _f(result.vin[n])]
-        row += [_f(x) for x in result.residues[n]]
-        row += [int(d) for d in result.decisions[n]]
-        row.append(int(result.flash[n]))
-        rows.append(row)
-    return _write(path, header, rows)
+    columns = [range(len(result.flash)), result.vin, *result.residues.T,
+               *result.decisions.T, result.flash]
+    return _write(path, header, ",".join(["%d"] + ["%r"] * 8 + ["%d"] * 7), columns)
 
 
 def write_linearity_csv(path, report: LinearityReport) -> Path:
-    rows = ((k, _f(report.dnl[k]), _f(report.inl[k])) for k in range(len(report.dnl)))
-    return _write(path, ["code", "dnl_lsb", "inl_lsb"], rows)
+    return _write(path, ["code", "dnl_lsb", "inl_lsb"], "%d,%r,%r",
+                  [range(len(report.dnl)), report.dnl, report.inl])
 
 
 def write_spectrum_csv(path, report: SpectrumReport) -> Path:
-    rows = ((k, _f(report.freqs[k]), _f(report.power_dbc[k]))
-            for k in range(len(report.power_dbc)))
-    return _write(path, ["bin", "freq_hz", "power_db"], rows)
+    return _write(path, ["bin", "freq_hz", "power_db"], "%d,%r,%r",
+                  [range(len(report.power_dbc)), report.freqs, report.power_dbc])
 
 
 def write_settle_csv(path, rows: list[SettleRow]) -> Path:
-    data = ((r.stage, _f(r.ideal_mv), _f(r.simulated_mv), _f(r.error_pct)) for r in rows)
-    return _write(path, ["stage", "ideal_mv", "simulated_mv", "error_pct"], data)
+    return _write(path, ["stage", "ideal_mv", "simulated_mv", "error_pct"], "%s,%r,%r,%r",
+                  [[r.stage for r in rows], [r.ideal_mv for r in rows],
+                   [r.simulated_mv for r in rows], [r.error_pct for r in rows]])
 
 
 def write_sweep_csv(path, axis: str, metric: str, points: list[SweepPoint]) -> Path:
     units = {"enob": "bits", "inl": "lsb", "dnl": "lsb"}[metric]
-    rows = ((_f(p.value), _f(p.metric)) for p in points)
-    return _write(path, [axis, f"{metric}_{units}"], rows)
+    return _write(path, [axis, f"{metric}_{units}"], "%r,%r",
+                  [[p.value for p in points], [p.metric for p in points]])
 
 
 def _write_script(path, lines) -> Path:

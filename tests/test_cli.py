@@ -94,6 +94,16 @@ def test_spectrum_command(tmp_path, capsys):
     assert (tmp_path / "spectrum.gp").exists()
 
 
+@pytest.mark.parametrize("nfft", ["0", "-4", "2", "1000"])
+@pytest.mark.parametrize("command", [["spectrum"], ["sweep", "--axis", "ota.a0_db",
+                                                    "--values", "60", "--metric", "enob"]])
+def test_bad_nfft_fails_with_message(tmp_path, capsys, command, nfft):
+    status, _, err = run(command + ["--config", "ideal", "--nfft", nfft,
+                                    "--out", str(tmp_path)], capsys)
+    assert status == 1
+    assert err.startswith("error:") and "n_fft" in err
+
+
 def test_sweep_command(tmp_path, capsys):
     status, out, _ = run(["sweep", "--config", "ideal", "--axis", "ota.a0_db",
                           "--values", "60,100", "--metric", "enob",

@@ -224,6 +224,17 @@ def test_coherent_frequency_out_of_nyquist():
         coherent_frequency(FS, 4096, 0.0)
 
 
+@pytest.mark.parametrize("n_fft", [-4, 0, 1, 2, 3, 6, 1000])
+def test_coherent_frequency_rejects_bad_n_fft(n_fft):
+    with pytest.raises(ValueError, match="n_fft"):
+        coherent_frequency(FS, n_fft, FS / 16.0)
+
+
+def test_coherent_frequency_smallest_n_fft():
+    # n_fft 4 is the smallest size with a bin strictly inside (0, n_fft/2)
+    assert coherent_frequency(FS, 4, FS * 0.4) == (FS / 4, 1)
+
+
 def test_coherent_frequency_stays_inside_nyquist():
     f_in, m = coherent_frequency(FS, 16, FS * 0.49)
     assert m % 2 == 1
