@@ -9,6 +9,7 @@ arguments, config and seed produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import replace
@@ -130,7 +131,8 @@ def _cmd_specs(args) -> int:
     gbw = min_gbw(budget)
     print(f"error budget: {args.err_fraction:g} LSB static + {args.err_fraction:g} LSB dynamic "
           f"at {args.n_bits} bits, beta = {budget.beta:g}")
-    print(f"A0  >= {gain.linear:.0f} ({gain.db:.1f} dB; round up to 67 dB for margin)")
+    print(f"A0  >= {gain.linear:.0f} ({gain.db:.1f} dB; "
+          f"round up to {math.ceil(gain.db)} dB for margin)")
     print(f"GBW >= {gbw / 1e6:.0f} MHz @ settle_fraction {config.clock.settle_fraction:g} "
           f"(t_settle = {budget.t_settle * 1e9:.3f} ns)")
     return 0

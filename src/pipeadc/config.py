@@ -91,13 +91,18 @@ class ClockParams:
 
 
 @dataclass(frozen=True)
+class ShaParams:
+    """The sample-and-hold: a unity-feedback hold with no sub-ADC or MDAC, so only an amplifier."""
+    ota: OtaParams = OtaParams(beta=1.0)
+
+
+@dataclass(frozen=True)
 class StageParams:
     """Per-stage non-idealities plus the amplifier used for its residue.
 
     gain_mismatch eps_g makes the stage gain 2*(1+eps_g); dac_mismatch eps_d
     scales the subtracted DAC level to (1+eps_d)*vref. cmp_offset_hi/lo shift
-    the two sub-ADC comparator thresholds (+vref/4 and -vref/4). The SHA slot
-    reuses this type; only its ota field is meaningful there.
+    the two sub-ADC comparator thresholds (+vref/4 and -vref/4).
     """
 
     gain_mismatch: float = 0.0
@@ -122,7 +127,7 @@ class AdcConfig:
 
     reference: ReferenceConfig = ReferenceConfig()
     clock: ClockParams = ClockParams()
-    sha: StageParams = StageParams(ota=OtaParams(beta=1.0))
+    sha: ShaParams = ShaParams()
     stages: tuple[StageParams, ...] = field(default_factory=_default_stages)
     flash_offsets: tuple[float, float, float] = (0.0, 0.0, 0.0)
     rng_seed: int = 0
@@ -179,7 +184,8 @@ def validate(config: AdcConfig) -> AdcConfig:
            "clock.fs", "fs must be positive")
     _check(0.0 < config.clock.settle_fraction <= 0.5,
            "clock.settle_fraction", "settle_fraction must be in (0, 0.5]")
-    _check_stage(config.sha, "sha")
+    _check(isinstance(config.sha, ShaParams), "sha", "sha must be a ShaParams")
+    _check_ota(config.sha.ota, "sha.ota")
     if len(config.stages) != N_STAGES:
         raise ConfigError("stages: expected 6")
     for i, st in enumerate(config.stages):
@@ -204,7 +210,7 @@ def default_config(seed: int = 0) -> AdcConfig:
 
 def ideal_config(seed: int = 0) -> AdcConfig:
     """Numerically ideal converter: huge gain and bandwidth, zero mismatch, reset on."""
-    sha = StageParams(ota=OtaParams(a0=1e9, gbw=1e15, beta=1.0))
+    sha = ShaParams(OtaParams(a0=1e9, gbw=1e15, beta=1.0))
     stage = StageParams(ota=OtaParams(a0=1e9, gbw=1e15, beta=0.5))
     return AdcConfig(sha=sha, stages=tuple(stage for _ in range(N_STAGES)), rng_seed=seed)
 
@@ -228,7 +234,7 @@ def degraded_config(seed: int = 0,
     not modelled.
     """
     a0 = db_to_gain(67.0)
-    sha = StageParams(ota=OtaParams(a0=a0, gbw=950e6, beta=1.0))
+    sha = ShaParams(OtaParams(a0=a0, gbw=950e6, beta=1.0))
     stage = StageParams(ota=OtaParams(a0=a0, gbw=950e6, beta=0.5))
     base = AdcConfig(sha=sha, stages=tuple(stage for _ in range(N_STAGES)), rng_seed=seed)
     return with_mismatch(base, gain_sigma, dac_sigma, offset_sigma, seed=seed)
@@ -242,7 +248,7 @@ def settling_fit_config() -> AdcConfig:
     growth curve (within 0.5 % of the settled values through stage 4). GBW is
     left at the 2.5 GHz design value, where the dynamic term is negligible.
     """
-    sha = StageParams(ota=OtaParams(a0=db_to_gain(67.0), gbw=2.5e9, beta=1.0))
+    sha = ShaParams(OtaParams(a0=db_to_gain(67.0), gbw=2.5e9, beta=1.0))
     stage = StageParams(ota=OtaParams(a0=db_to_gain(73.0), gbw=2.5e9, beta=0.5))
     return AdcConfig(sha=sha, stages=tuple(stage for _ in range(N_STAGES)))
 
@@ -330,7 +336,10 @@ def _replace_leaf(node, kind, keys: list, value, path: str):
         leaf = _replace_leaf(node[key], children[0], rest, value, path)
         return (*node[:key], leaf, *node[key + 1:])
     if kind is OtaParams and key == "a0_db" and not rest:
-        return replace(node, a0=db_to_gain(_replace_leaf(node.a0, float, rest, value, path)))
+        try:
+            return replace(node, a0=db_to_gain(_replace_leaf(node.a0, float, rest, value, path)))
+        except OverflowError as exc:
+            raise ConfigError(f"bad value for {path}: {value!r}") from exc
     if isinstance(children, dict) and key in children:
         leaf = _replace_leaf(getattr(node, key), children[key], rest, value, path)
         return replace(node, **{key: leaf})
@@ -349,8 +358,8 @@ def set_param(config: AdcConfig, path: str, value) -> AdcConfig:
     keys = [int(m[1]) if (m := re.fullmatch(r"\[(\d+)\]", k)) else k
             for k in re.split(r"\.|(?=\[)", path)]
     if keys[0] == "ota":
-        sha, *stages = (_replace_leaf(st, StageParams, keys, value, path)
-                        for st in (config.sha, *config.stages))
+        sha, *stages = (_replace_leaf(node, type(node), keys, value, path)
+                        for node in (config.sha, *config.stages))
         return replace(config, sha=sha, stages=tuple(stages))
     return _replace_leaf(config, AdcConfig, keys, value, path)
 

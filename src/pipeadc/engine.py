@@ -329,6 +329,9 @@ def settle_report(config: AdcConfig) -> list[SettleRow]:
     names = ["SHA"] + [f"Stage{k}" for k in range(1, N_STAGES + 1)]
     for i, name in enumerate(names):
         sim = float(res[i])
+        if ideal == 0.0:
+            raise ValueError(f"{name}: its input, the {names[i - 1]} output, settled to 0 V, "
+                             "so its percent error is undefined")
         err_pct = (ideal - sim) / ideal * 100.0
         rows.append(SettleRow(stage=name, ideal_mv=ideal * 1e3,
                               simulated_mv=sim * 1e3, error_pct=err_pct))

@@ -131,6 +131,34 @@ def test_settle_report_command(tmp_path, capsys):
     assert len(lines) == 8
 
 
+def test_settle_report_on_sha_settling_to_zero_fails_with_message(tmp_path, capsys):
+    cfg_path = tmp_path / "slow.cfg"
+    cfg_path.write_text("ota.gbw = 1e-300\n")
+    status, _, err = run(["settle-report", "--config", str(cfg_path), "--out", str(tmp_path)],
+                         capsys)
+    assert status == 1
+    assert err.startswith("error: Stage1: its input, the SHA output, settled to 0 V")
+
+
+@pytest.mark.parametrize("args", [
+    ["specs", "--config", "{cfg}"],
+    ["sweep", "--axis", "ota.a0_db", "--values", "7000"],
+])
+def test_a0_db_beyond_float_range_fails_with_message(tmp_path, capsys, args):
+    cfg_path = tmp_path / "huge.cfg"
+    cfg_path.write_text("ota.a0_db = 7000\n")
+    args = [a.format(cfg=cfg_path) for a in args]
+    status, _, err = run([*args, "--out", str(tmp_path)], capsys)
+    assert status == 1
+    assert err.startswith("error: bad value for ota.a0_db: ")
+
+
+def test_specs_margin_hint_rounds_up_the_required_gain(tmp_path, capsys):
+    status, out, _ = run(["specs", "--n-bits", "10", "--out", str(tmp_path)], capsys)
+    assert status == 0
+    assert "A0  >= 8192 (78.3 dB; round up to 79 dB for margin)" in out
+
+
 def test_config_file_roundtrip_through_cli(tmp_path, capsys):
     cfg_path = tmp_path / "my.cfg"
     save_config(default_config(), cfg_path)

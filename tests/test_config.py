@@ -11,7 +11,7 @@ from pipeadc import (AdcConfig, ClockParams, ConfigError, OtaParams, ReferenceCo
                      StageParams, db_to_gain, default_config, degraded_config, gain_to_db,
                      ideal_config, parse_config_text, preset_config, set_param,
                      settling_fit_config, validate, with_mismatch)
-from pipeadc.config import N_STAGES, config_to_text
+from pipeadc.config import N_STAGES, ShaParams, config_to_text
 
 
 def test_default_config_accepted():
@@ -54,6 +54,11 @@ def test_invariant_violations_name_the_field(path, value, msg):
         validate(bad)
 
 
+def test_sha_must_be_sha_params():
+    with pytest.raises(ConfigError, match=r"^sha: sha must be a ShaParams$"):
+        validate(AdcConfig(sha=StageParams(ota=OtaParams(beta=1.0))))
+
+
 def test_bool_seed_rejected():
     with pytest.raises(ConfigError, match="rng_seed"):
         validate(AdcConfig(rng_seed=True))
@@ -85,7 +90,7 @@ _configs = st.builds(
     clock=st.builds(ClockParams, fs=st.floats(0.0, 1e12, exclude_min=True),
                     settle_fraction=st.floats(0.0, 0.5, exclude_min=True),
                     reset_enabled=st.booleans()),
-    sha=_stages,
+    sha=st.builds(ShaParams, ota=_otas),
     stages=st.lists(_stages, min_size=N_STAGES, max_size=N_STAGES).map(tuple),
     flash_offsets=st.tuples(_finite(), _finite(), _finite()),
     rng_seed=st.integers(-2 ** 70, 2 ** 70))
@@ -100,6 +105,15 @@ _configs = st.builds(
 def test_roundtrip_identity(cfg):
     assert validate(cfg) is cfg
     assert parse_config_text(config_to_text(cfg)) == cfg
+
+
+@pytest.mark.parametrize("preset", [default_config(), ideal_config(), degraded_config(seed=3),
+                                    settling_fit_config()])
+def test_presets_write_sixty_keys(preset):
+    keys = [line.split(" = ")[0] for line in config_to_text(preset).splitlines()[1:]]
+    assert len(keys) == len(set(keys)) == 60
+    assert [k for k in keys if k.startswith("sha.")] == ["sha.ota.a0", "sha.ota.gbw",
+                                                         "sha.ota.beta", "sha.ota.k_mem"]
 
 
 def test_reference_vcm_is_unknown_key():
@@ -134,6 +148,8 @@ def test_unknown_key_rejected():
 @pytest.mark.parametrize("path", [
     "sha", "clock", "ota", "stages[2]", "flash_offsets", "stages[6].gain_mismatch",
     "flash_offsets[3]", "sha.a0_db", "clock.t_settle",
+    # the SHA has no sub-ADC or MDAC, so no stage keys
+    "sha.gain_mismatch", "sha.dac_mismatch", "sha.cmp_offset_hi", "sha.cmp_offset_lo",
 ])
 def test_non_leaf_and_out_of_range_paths_are_unknown_keys(path):
     with pytest.raises(ConfigError, match=f"^unknown key: {re.escape(path)}$"):
@@ -166,6 +182,17 @@ def test_a0_db_alias():
     c = set_param(default_config(), "sha.ota.a0_db", 60.0)
     assert c.sha.ota.a0 == pytest.approx(1000.0, rel=1e-12)
     assert gain_to_db(c.sha.ota.a0) == pytest.approx(60.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("path", ["ota.a0_db", "sha.ota.a0_db", "stages[4].ota.a0_db"])
+def test_a0_db_beyond_float_range_is_bad_value(path):
+    with pytest.raises(ConfigError, match=f"^bad value for {re.escape(path)}: 7000"):
+        set_param(default_config(), path, 7000)
+    with pytest.raises(ConfigError, match=f"^bad value for {re.escape(path)}: '7000'$"):
+        parse_config_text(f"{path} = 7000")
+    # an infinite gain in dB is still the ideal amplifier
+    d = default_config()
+    assert set_param(d, path, math.inf) == set_param(d, path.replace("a0_db", "a0"), math.inf)
 
 
 def test_ota_broadcast_path():

@@ -6,11 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from pipeadc import (PIPELINE_LATENCY_SAMPLES, PipelineEngine, StageParams, default_config,
-                     degraded_config, digitize, flash2b, ideal_config, settle_report,
-                     settling_fit_config, sub_adc_decide)
+from pipeadc import (ConfigError, PIPELINE_LATENCY_SAMPLES, PipelineEngine, StageParams,
+                     Waveform, default_config, degraded_config, digitize, flash2b, generate,
+                     ideal_config, settle_report, settling_fit_config, sub_adc_decide, validate)
 from pipeadc import engine
-from pipeadc.config import set_param
+from pipeadc.config import config_to_text, set_param
 from pipeadc.engine import MAX_SWEEPS
 
 from oracle import stepped
@@ -276,6 +276,38 @@ def test_kmem_zero_equals_reset_enabled_bitwise():
     assert np.array_equal(a.decisions, b.decisions)
     assert np.array_equal(a.flash, b.flash)
     assert np.array_equal(a.residues, b.residues)
+
+
+def _stepped_key(config, key, text):
+    """config with key alone moved one valid step: a flipped bool, else +-(1 % + 0.01)."""
+    if text in ("true", "false"):
+        return set_param(config, key, text == "false")
+    for value in (float(text) * 1.01 + 0.01, float(text) * 0.99 - 0.01):
+        try:
+            return validate(set_param(config, key, value))
+        except ConfigError:
+            pass
+    raise AssertionError(f"no valid step for {key} = {text}")
+
+
+def test_every_config_key_changes_the_conversion():
+    # reset off, so every amplifier, stage and flash parameter reaches the bits;
+    # a key that changes no residue, decision or flash bit is a knob the model never reads
+    base = memory_config(seed=3)
+    vref = base.reference.vref
+    ramp = generate(Waveform(kind="ramp", length=2 ** 14 + 7, v_low=-vref, v_high=vref),
+                    base.clock)
+
+    def output(cfg):
+        r = PipelineEngine(cfg).simulate(ramp)
+        return r.residues.tobytes(), r.decisions.tobytes(), r.flash.tobytes()
+
+    lines = [line.split(" = ") for line in config_to_text(base).splitlines()[1:]]
+    assert len(lines) == 60
+    reference = output(base)
+    dead = [key for key, text in lines
+            if key != "rng_seed" and output(_stepped_key(base, key, text)) == reference]
+    assert dead == []
 
 
 def test_latency_invariance():

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from pipeadc import (ClockParams, OtaParams, StageParams, comparator_diff, degraded_config,
                      flash2b, mdac_residue, settle_coefficients, sub_adc_decide)
-from pipeadc.config import db_to_gain
+from pipeadc.config import ShaParams, db_to_gain
 from pipeadc.stages import settle_value
 
 VREF = 0.6
@@ -95,14 +95,14 @@ def test_static_error_matches_closed_form():
 def test_infinite_amplifier_is_exact_passthrough():
     ota = OtaParams(a0=math.inf, gbw=math.inf, beta=1.0)
     clock = ClockParams()
-    sha = StageParams(ota=ota)
+    sha = ShaParams(ota)
     for vin in (0.0, 0.6, -0.4321, 1e-9):
         assert sha_hold(vin, sha, clock) == vin
 
 
 def test_sha_hold_near_published_value():
     # 67 dB unity-feedback amplifier holds 600 mV with a 0.05 % error
-    sha = StageParams(ota=OtaParams(a0=db_to_gain(67.0), gbw=2.5e9, beta=1.0))
+    sha = ShaParams(OtaParams(a0=db_to_gain(67.0), gbw=2.5e9, beta=1.0))
     out = sha_hold(0.6, sha, ClockParams())
     assert out * 1e3 == pytest.approx(599.7, abs=0.1)
     err_pct = (0.6 - out) / 0.6 * 100.0
@@ -110,7 +110,7 @@ def test_sha_hold_near_published_value():
 
 
 def test_sha_hold_zero_is_zero():
-    sha = StageParams(ota=OtaParams(a0=db_to_gain(67.0), gbw=2.5e9, beta=1.0))
+    sha = ShaParams(OtaParams(a0=db_to_gain(67.0), gbw=2.5e9, beta=1.0))
     assert sha_hold(0.0, sha, ClockParams()) == 0.0
 
 
