@@ -156,7 +156,12 @@ def _check(cond: bool, path: str, msg: str) -> None:
         raise ConfigError(f"{path}: {msg}")
 
 
+def _check_type(node, kind: type, path: str) -> None:
+    _check(isinstance(node, kind), path, f"expected {kind.__name__}, got {type(node).__name__}")
+
+
 def _check_ota(o: OtaParams, path: str) -> None:
+    _check_type(o, OtaParams, path)
     _check(not math.isnan(o.a0) and o.a0 >= 1.0, f"{path}.a0", "a0 must be >= 1")
     _check(not math.isnan(o.gbw) and o.gbw > 0.0, f"{path}.gbw", "gbw must be positive")
     _check(o.beta > 0.0, f"{path}.beta", "beta must be positive")
@@ -165,6 +170,7 @@ def _check_ota(o: OtaParams, path: str) -> None:
 
 
 def _check_stage(s: StageParams, path: str) -> None:
+    _check_type(s, StageParams, path)
     _check(abs(s.gain_mismatch) < 0.5, f"{path}.gain_mismatch", "|gain_mismatch| must be < 0.5")
     _check(abs(s.dac_mismatch) < 0.5, f"{path}.dac_mismatch", "|dac_mismatch| must be < 0.5")
     _check(math.isfinite(s.cmp_offset_hi), f"{path}.cmp_offset_hi", "offset must be finite")
@@ -178,13 +184,15 @@ def validate(config: AdcConfig) -> AdcConfig:
     Raises ConfigError naming the first violated field. Idempotent:
     validate(validate(c)) is c.
     """
+    _check_type(config.reference, ReferenceConfig, "reference")
     _check(math.isfinite(config.reference.vref) and config.reference.vref > 0.0,
            "reference.vref", "vref must be positive")
+    _check_type(config.clock, ClockParams, "clock")
     _check(math.isfinite(config.clock.fs) and config.clock.fs > 0.0,
            "clock.fs", "fs must be positive")
     _check(0.0 < config.clock.settle_fraction <= 0.5,
            "clock.settle_fraction", "settle_fraction must be in (0, 0.5]")
-    _check(isinstance(config.sha, ShaParams), "sha", "sha must be a ShaParams")
+    _check_type(config.sha, ShaParams, "sha")
     _check_ota(config.sha.ota, "sha.ota")
     if len(config.stages) != N_STAGES:
         raise ConfigError("stages: expected 6")
@@ -237,7 +245,7 @@ def degraded_config(seed: int = 0,
     sha = ShaParams(OtaParams(a0=a0, gbw=950e6, beta=1.0))
     stage = StageParams(ota=OtaParams(a0=a0, gbw=950e6, beta=0.5))
     base = AdcConfig(sha=sha, stages=tuple(stage for _ in range(N_STAGES)), rng_seed=seed)
-    return with_mismatch(base, gain_sigma, dac_sigma, offset_sigma, seed=seed)
+    return with_mismatch(base, gain_sigma, dac_sigma, offset_sigma)
 
 
 def settling_fit_config() -> AdcConfig:
@@ -272,17 +280,16 @@ def preset_config(name: str, seed: int | None = None) -> AdcConfig:
 def with_mismatch(base: AdcConfig,
                   gain_sigma: float,
                   dac_sigma: float,
-                  offset_sigma: float,
-                  seed: int | None = None) -> AdcConfig:
+                  offset_sigma: float) -> AdcConfig:
     """Draw static mismatch and offsets once and return the resulting concrete config.
 
     Gaussian draws: gain and DAC mismatch per stage, both comparator offsets
     per stage, and the three flash threshold offsets. Mismatch draws are
     clipped to +-0.49 to stay inside the validity domain (never reached for
-    realistic sigmas). The same (base, sigmas, seed) always yields the same
-    config.
+    realistic sigmas). The draws come from ``base.rng_seed``, so the same
+    (base, sigmas) always yields the same config.
     """
-    rng = np.random.default_rng(base.rng_seed if seed is None else seed)
+    rng = np.random.default_rng(base.rng_seed)
     clip = 0.49
     # one draw in stage order (gain, dac, hi, lo), then the flash offsets:
     # the same floats as one scalar draw after another
@@ -295,9 +302,7 @@ def with_mismatch(base: AdcConfig,
                               dac_mismatch=min(max(dac, -clip), clip),
                               cmp_offset_hi=hi, cmp_offset_lo=lo))
     flash = tuple(draws[len(sigmas):])
-    out = replace(base, stages=tuple(stages), flash_offsets=flash,
-                  rng_seed=base.rng_seed if seed is None else seed)
-    return validate(out)
+    return validate(replace(base, stages=tuple(stages), flash_offsets=flash))
 
 
 # ---------------------------------------------------------------------------

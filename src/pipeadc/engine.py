@@ -10,9 +10,10 @@ outputs of any run are warm-up.
 
 Amplifier sharing
 -----------------
-Six stages ride on three shared amplifiers, paired (1,2), (3,4), (5,6) by
-default; the SHA has its own. Within one sample the stages amplify in stage
-order, so a shared amplifier's history alternates between its two stages.
+Six stages ride on three shared amplifiers, paired (1,2), (3,4), (5,6) as
+in the paper's converter; the SHA has its own. Within one sample the
+stages amplify in stage order, so a shared amplifier's history alternates
+between its two stages.
 With the reset phase enabled every amplification starts from a discharged
 output (v_init = 0); without it, k_mem times the amplifier's previous settled
 output is left as the starting point, which is the memory effect the reset
@@ -23,10 +24,8 @@ Blocks and relaxation
 ``simulate`` runs the chain in blocks of ``BLOCK_SAMPLES`` samples; a block
 starts from the residues the previous block settled last, which are also
 what every amplifier last put out. With memory the channels relax in
-amplifier groups, the strongly connected components of the graph with
-edges from each channel to the next and from each v_init's source channel
-to its user: {SHA}, {1,2}, {3,4}, {5,6} by default; a memoryless chain is
-one group. Groups run in chain order, so a group's input is final and its
+amplifier groups, {SHA}, {1,2}, {3,4}, {5,6}; a memoryless chain is one
+group. Groups run in chain order, so a group's input is final and its
 first stage decides once per block (waveform relaxation, Lelarasmee,
 Ruehli & Sangiovanni-Vincentelli, IEEE TCAD 1(3), 1982). The second stage
 on an amplifier takes its v_init from its partner's output in the same
@@ -57,8 +56,6 @@ from .stages import (comparator_diff, flash2b, mdac_residue, settle_coefficients
 
 # SHA, six stages, flash: seven one-sample hops from input to a complete code.
 PIPELINE_LATENCY_SAMPLES = 7
-
-DEFAULT_PAIRING = ((1, 2), (3, 4), (5, 6))
 
 # Samples per block. A block's residue buffer and its few float64
 # temporaries per stage (128 KB each) stay in cache: 8K-32K blocks run 2^20
@@ -122,39 +119,24 @@ class PipelineEngine:
     channel: 0 is the SHA, k is stage k.
     """
 
-    def __init__(self, config: AdcConfig, pairing: tuple[tuple[int, int], ...] = DEFAULT_PAIRING):
+    def __init__(self, config: AdcConfig):
         self.config = validate(config)
-        if sorted(a for pair in pairing for a in pair) != list(range(1, N_STAGES + 1)):
-            raise ValueError("pairing must cover stages 1..6 exactly once")
         c = self.config
-        t = c.clock.t_settle
         self.vref = c.reference.vref
-        # channel -> (channel whose output sets its v_init, same sample?)
-        self._mem_src = {0: (0, False)}
-        for pair in pairing:
-            for stage_no in pair:
-                before = [other for other in pair if other < stage_no]
-                self._mem_src[stage_no] = (max(before), True) if before else (max(pair), False)
-        self._g = []
-        self._e = []
-        self._kmem = []
-        for amp in [c.sha] + list(c.stages):
-            g, e = settle_coefficients(amp.ota, t)
-            self._g.append(g)
-            self._e.append(e)
-            self._kmem.append(amp.ota.k_mem)
+        otas = [c.sha.ota] + [st.ota for st in c.stages]
+        self._g, self._e = zip(*(settle_coefficients(o, c.clock.t_settle) for o in otas))
+        self._kmem = [o.k_mem for o in otas]
         self._memoryless = c.clock.reset_enabled or all(k == 0.0 for k in self._kmem)
-        # Relaxation groups in chain order: with memory, the strongly connected
-        # components of the channel graph (edges k-1 -> k and each _mem_src ->
-        # its channel). The chain edges make each a run of channels; a memory
-        # edge back from a later channel joins every channel between to one
-        # run. Without memory any grouping converges in one sweep: one group.
-        starts, reach = [], -1
-        for ch in range(N_STAGES + 1):
-            if ch > reach:
-                starts.append(ch)
-            reach = max(reach, N_STAGES if self._memoryless else self._mem_src[ch][0])
-        self._groups = [range(a, b) for a, b in zip(starts, starts[1:] + [N_STAGES + 1])]
+        # channel -> (channel whose output sets its v_init, same sample?): the
+        # first stage on an amplifier inherits its partner's output of the
+        # sample before, the second its partner's of the same sample
+        self._mem_src = {0: (0, False), 1: (2, False), 2: (1, True), 3: (4, False),
+                         4: (3, True), 5: (6, False), 6: (5, True)}
+        # Relaxation groups in chain order: one per amplifier with memory, as
+        # no amplifier feeds an earlier one; a memoryless chain converges in
+        # one sweep, so it is one group.
+        self._groups = ([range(N_STAGES + 1)] if self._memoryless
+                        else [range(0, 1), range(1, 3), range(3, 5), range(5, 7)])
 
     # -- batch driver ----------------------------------------------------------
 

@@ -40,8 +40,8 @@ def generate(w: Waveform, clock: ClockParams) -> np.ndarray:
     """
     if w.kind not in KINDS:
         raise ValueError(f"unknown waveform kind: {w.kind!r}")
-    if w.length < 1:
-        raise ValueError("length must be >= 1")
+    if isinstance(w.length, bool) or not isinstance(w.length, (int, np.integer)) or w.length < 1:
+        raise ValueError(f"length must be an integer >= 1, got {w.length!r}")
     if w.kind == "sine":
         if w.frequency <= 0.0:
             raise ValueError("sine requires a positive frequency")

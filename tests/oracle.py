@@ -1,19 +1,21 @@
 """Sequential reference for the engine: the chain stepped one sample at a time.
 
 It calls the stage laws but none of the engine's wiring: the amplifier each
-stage uses comes from the pairing alone, so a fault in how the engine derives
-its memory sources or relaxation groups shows up as a difference.
+stage uses comes from its own table below, so a fault in the engine's memory
+sources or relaxation groups shows up as a difference.
 """
 
 import numpy as np
 
 from pipeadc import SimulationResult, flash2b, mdac_residue, settle_coefficients, sub_adc_decide
 from pipeadc.config import N_STAGES
-from pipeadc.engine import DEFAULT_PAIRING
 from pipeadc.stages import settle_value
 
+# channel -> amplifier: the SHA has its own, stages (1,2), (3,4), (5,6) share one each
+AMPLIFIER = (0, 1, 1, 2, 2, 3, 3)
 
-def stepped(config, wave, pairing=DEFAULT_PAIRING):
+
+def stepped(config, wave):
     """Run ``wave`` through SHA, stages 1-6 and flash one sample at a time, on floats.
 
     At each sample the SHA settles toward the input, stage k decides on and
@@ -26,8 +28,7 @@ def stepped(config, wave, pairing=DEFAULT_PAIRING):
     reset = config.clock.reset_enabled
     amps = [config.sha] + list(config.stages)
     coeffs = [settle_coefficients(amp.ota, config.clock.t_settle) for amp in amps]
-    slot = {0: 0} | {k: s for s, pair in enumerate(pairing, start=1) for k in pair}
-    last = [0.0] * (len(pairing) + 1)  # last output of the SHA amplifier, then each pair's
+    last = [0.0] * (max(AMPLIFIER) + 1)  # last output put out on each amplifier
     wave = np.asarray(wave, dtype=np.float64)
     n = wave.size
     decisions = np.empty((n, N_STAGES), dtype=np.int8)
@@ -44,9 +45,9 @@ def stepped(config, wave, pairing=DEFAULT_PAIRING):
                 d = sub_adc_decide(prev[k - 1], amp, vref)
                 decisions[i, k - 1] = d
                 target = mdac_residue(prev[k - 1], d, amp, vref)
-            v_init = 0.0 if reset else amp.ota.k_mem * last[slot[k]]
-            last[slot[k]] = settle_value(target, v_init, *coeffs[k])
-            out.append(last[slot[k]])
+            v_init = 0.0 if reset else amp.ota.k_mem * last[AMPLIFIER[k]]
+            last[AMPLIFIER[k]] = settle_value(target, v_init, *coeffs[k])
+            out.append(last[AMPLIFIER[k]])
         residues[i] = prev = out
     return SimulationResult(vin=wave, decisions=decisions, flash=flash, residues=residues,
                             fs=config.clock.fs)

@@ -54,9 +54,25 @@ def test_invariant_violations_name_the_field(path, value, msg):
         validate(bad)
 
 
-def test_sha_must_be_sha_params():
-    with pytest.raises(ConfigError, match=r"^sha: sha must be a ShaParams$"):
-        validate(AdcConfig(sha=StageParams(ota=OtaParams(beta=1.0))))
+def _with_stage(i, stage):
+    stages = list(default_config().stages)
+    stages[i] = stage
+    return replace(default_config(), stages=tuple(stages))
+
+
+@pytest.mark.parametrize("config,message", [
+    (AdcConfig(sha=StageParams(ota=OtaParams(beta=1.0))), "sha: expected ShaParams, got StageParams"),
+    (AdcConfig(sha=ShaParams(ota=StageParams())), "sha.ota: expected OtaParams, got StageParams"),
+    (AdcConfig(stages=(ShaParams(),) * 6), r"stages\[0\]: expected StageParams, got ShaParams"),
+    (_with_stage(2, ShaParams()), r"stages\[2\]: expected StageParams, got ShaParams"),
+    (_with_stage(4, StageParams(ota=ShaParams())),
+     r"stages\[4\]\.ota: expected OtaParams, got ShaParams"),
+    (AdcConfig(clock=None), "clock: expected ClockParams, got NoneType"),
+    (AdcConfig(reference=None), "reference: expected ReferenceConfig, got NoneType"),
+], ids=["sha", "sha.ota", "stages", "stages[2]", "stages[4].ota", "clock", "reference"])
+def test_nodes_must_have_their_declared_types(config, message):
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        validate(config)
 
 
 def test_bool_seed_rejected():
@@ -205,9 +221,9 @@ def test_ota_broadcast_path():
 
 
 def test_mismatch_draws_deterministic_and_bounded():
-    a = with_mismatch(default_config(), 1e-3, 1e-3, 5e-3, seed=7)
-    b = with_mismatch(default_config(), 1e-3, 1e-3, 5e-3, seed=7)
-    other = with_mismatch(default_config(), 1e-3, 1e-3, 5e-3, seed=8)
+    a = with_mismatch(default_config(seed=7), 1e-3, 1e-3, 5e-3)
+    b = with_mismatch(default_config(seed=7), 1e-3, 1e-3, 5e-3)
+    other = with_mismatch(default_config(seed=8), 1e-3, 1e-3, 5e-3)
     assert a == b
     assert a != other
     for st in a.stages:

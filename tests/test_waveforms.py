@@ -64,7 +64,14 @@ def test_length_one():
     Waveform(kind="sine", length=8, amplitude=0.1, frequency=0.0),
     Waveform(kind="ramp", length=8, v_low=0.5, v_high=0.5),
     Waveform(kind="dc", length=0),
+    # a length must be an int: no rounding, no bool
+    Waveform(kind="ramp", length=10.5, v_low=-0.6, v_high=0.6),
+    Waveform(kind="sine", length=3.5, amplitude=0.1, frequency=1e6),
+    Waveform(kind="pulse", length=2.5, v_low=-0.6, v_high=0.6),
+    Waveform(kind="dc", length=4.0),
+    Waveform(kind="dc", length=True),
 ])
 def test_invalid_waveforms_rejected(bad):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="length" if bad.length != 8 else None):
         generate(bad, CLOCK)
+
