@@ -10,8 +10,7 @@ from .engine import (PIPELINE_LATENCY_SAMPLES, PipelineEngine, SettleRow, Simula
                      settle_report)
 from .metrics import (LinearityReport, SpectrumData, SpectrumReport,
                       coherent_frequency, ramp_linearity, sndr_sfdr_enob, spectrum)
-from .solver import (Budget, GainRequirement, SweepPoint, budget_from_config, min_dc_gain,
-                     min_gbw, sweep)
+from .solver import SweepPoint, min_dc_gain, min_gbw, sweep
 from .stages import comparator_diff, flash2b, mdac_residue, settle_coefficients, sub_adc_decide
 from .waveforms import Waveform, generate
 

@@ -16,11 +16,11 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import reports
-from .config import ConfigError, PRESETS, load_config, preset_config
+from .config import ConfigError, N_BITS, PRESETS, gain_to_db, load_config, preset_config
 from .correction import correct_result, digitize
 from .engine import PIPELINE_LATENCY_SAMPLES, PipelineEngine, settle_report
 from .metrics import coherent_frequency, ramp_linearity, sndr_sfdr_enob, spectrum
-from .solver import Budget, SWEEP_METRICS, budget_from_config, min_dc_gain, min_gbw, sweep
+from .solver import ERR_FRACTION, SWEEP_METRICS, min_dc_gain, min_gbw, sweep
 from .waveforms import KINDS, Waveform, generate
 
 OUT_DIR_ENV = "PIPEADC_OUT_DIR"
@@ -113,7 +113,7 @@ def _cmd_spectrum(args) -> int:
                     amplitude=vref if args.amplitude is None else args.amplitude,
                     frequency=f_in)
     stream = digitize(generate(wave, config.clock), config)
-    report = sndr_sfdr_enob(spectrum(stream, args.nfft, window=args.window), signal_bin)
+    report = sndr_sfdr_enob(spectrum(stream, args.nfft), signal_bin)
     out = _out_dir(args)
     csv_path = reports.write_spectrum_csv(out / "spectrum.csv", report)
     reports.write_spectrum_plot(out / "spectrum.gp", csv_path.name)
@@ -126,15 +126,15 @@ def _cmd_spectrum(args) -> int:
 
 def _cmd_specs(args) -> int:
     config = _resolve_config(args)
-    budget = budget_from_config(config, n_bits=args.n_bits, err_fraction=args.err_fraction)
-    gain = min_dc_gain(budget)
-    gbw = min_gbw(budget)
-    print(f"error budget: {args.err_fraction:g} LSB static + {args.err_fraction:g} LSB dynamic "
-          f"at {args.n_bits} bits, beta = {budget.beta:g}")
-    print(f"A0  >= {gain.linear:.0f} ({gain.db:.1f} dB; "
-          f"round up to {math.ceil(gain.db)} dB for margin)")
-    print(f"GBW >= {gbw / 1e6:.0f} MHz @ settle_fraction {config.clock.settle_fraction:g} "
-          f"(t_settle = {budget.t_settle * 1e9:.3f} ns)")
+    beta = config.stages[0].ota.beta
+    t_settle = config.clock.t_settle
+    gain = min_dc_gain(beta)
+    gain_db = gain_to_db(gain)
+    print(f"error budget: {ERR_FRACTION:g} LSB static + {ERR_FRACTION:g} LSB dynamic "
+          f"at {N_BITS} bits, beta = {beta:g}")
+    print(f"A0  >= {gain:.0f} ({gain_db:.1f} dB; round up to {math.ceil(gain_db)} dB for margin)")
+    print(f"GBW >= {min_gbw(beta, t_settle) / 1e6:.0f} MHz @ settle_fraction "
+          f"{config.clock.settle_fraction:g} (t_settle = {t_settle * 1e9:.3f} ns)")
     return 0
 
 
@@ -196,13 +196,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--freq", type=float, default=None,
                    help="target input frequency in Hz (snapped to a coherent bin)")
     p.add_argument("--amplitude", type=float, default=None, help="volts (default: vref)")
-    p.add_argument("--window", choices=("rectangular", "hann"), default="rectangular")
     p.set_defaults(func=_cmd_spectrum)
 
-    p = sub.add_parser("specs", help="minimum DC gain and GBW from the error budget")
+    p = sub.add_parser("specs", help="minimum DC gain and GBW from the 8-bit error budget")
     _add_common(p)
-    p.add_argument("--n-bits", type=int, default=8)
-    p.add_argument("--err-fraction", type=float, default=0.25)
     p.set_defaults(func=_cmd_specs)
 
     p = sub.add_parser("sweep", help="sweep one parameter and record a metric")

@@ -194,10 +194,12 @@ def validate(config: AdcConfig) -> AdcConfig:
            "clock.settle_fraction", "settle_fraction must be in (0, 0.5]")
     _check_type(config.sha, ShaParams, "sha")
     _check_ota(config.sha.ota, "sha.ota")
+    _check_type(config.stages, tuple, "stages")
     if len(config.stages) != N_STAGES:
         raise ConfigError("stages: expected 6")
     for i, st in enumerate(config.stages):
         _check_stage(st, f"stages[{i}]")
+    _check_type(config.flash_offsets, tuple, "flash_offsets")
     if len(config.flash_offsets) != N_FLASH_THRESHOLDS:
         raise ConfigError("flash_offsets: expected 3 values")
     for i, off in enumerate(config.flash_offsets):
@@ -325,13 +327,13 @@ def _replace_leaf(node, kind, keys: list, value, path: str):
     """Return node (declared as kind) with the leaf that keys name set to value.
 
     The value is parsed by the leaf's declared type, not by the type of the
-    value it replaces: bool through _as_bool, int through int, else float.
+    value it replaces: bool through _as_bool, int through _as_int, else float.
     """
     children = _children(kind)
     if not keys:
         if children is not None:
             raise ConfigError(f"unknown key: {path}")
-        parse = _as_bool if kind is bool else int if kind is int else float
+        parse = _as_bool if kind is bool else _as_int if kind is int else float
         try:
             return parse(value)
         except ValueError as exc:
@@ -367,6 +369,13 @@ def set_param(config: AdcConfig, path: str, value) -> AdcConfig:
                         for node in (config.sha, *config.stages))
         return replace(config, sha=sha, stages=tuple(stages))
     return _replace_leaf(config, AdcConfig, keys, value, path)
+
+
+def _as_int(value) -> int:
+    """An int, an integral float (sweep values arrive as floats) or int text."""
+    if isinstance(value, bool) or not (isinstance(value, (str, int)) or float(value).is_integer()):
+        raise ValueError(f"not an integer: {value!r}")
+    return int(value)
 
 
 def _as_bool(value) -> bool:

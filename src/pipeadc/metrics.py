@@ -1,8 +1,8 @@
 """Evaluation metrics: histogram DNL/INL from a ramp, DFT-based SNDR/SFDR/ENOB from a sine.
 
 Both tests mirror standard converter bench practice: a slow over-range ramp
-feeds the code-density histogram, and a coherently sampled sine feeds a
-rectangular-window DFT. Warm-up codes are always dropped here.
+feeds the code-density histogram, and a coherently sampled sine feeds an
+unwindowed DFT. Warm-up codes are always dropped here.
 """
 
 from __future__ import annotations
@@ -22,8 +22,9 @@ ENOB_OFFSET_DB = 1.76
 # least mean hits per interior code a ramp capture must give
 MIN_HITS = 32.0
 
-# leakage bins excluded around the signal on top of the signal bin itself
-_LEAK = {"rectangular": 1, "hann": 2}
+# bins left out of SNDR/SFDR on each side of the signal: the usual guard of
+# an unwindowed DFT, so no near-carrier spread counts as noise
+SIGNAL_GUARD_BINS = 1
 
 
 @dataclass(frozen=True)
@@ -48,15 +49,14 @@ class SpectrumData:
     """One-sided power spectrum of the normalized code stream.
 
     Codes are mean-removed, scaled by 1/128 so a full-scale sine has unit
-    amplitude, multiplied by the window, and transformed. bin_power[k] is
+    amplitude, and transformed unwindowed. bin_power[k] is
     |X_k|^2 * m_k / N^2 with m_k = 2 except at DC and Nyquist, which makes the
-    total equal the mean square of the windowed signal (Parseval).
+    total equal the mean square of the signal (Parseval).
     """
 
     bin_power: np.ndarray
     freqs: np.ndarray
     n_fft: int
-    window: str
     fs: float
 
 
@@ -70,7 +70,6 @@ class SpectrumReport:
     sndr_db: float
     sfdr_db: float
     enob: float
-    window: str
 
 
 def ramp_linearity(stream: CodeStream) -> LinearityReport:
@@ -121,20 +120,13 @@ def ramp_linearity(stream: CodeStream) -> LinearityReport:
                            missing_codes=missing)
 
 
-def _window(name: str, n: int) -> np.ndarray:
-    if name == "rectangular":
-        return np.ones(n)
-    if name == "hann":
-        return np.hanning(n)
-    raise ValueError(f"unknown window: {name!r} (use 'rectangular' or 'hann')")
-
-
-def spectrum(stream: CodeStream, n_fft: int, window: str = "rectangular") -> SpectrumData:
+def spectrum(stream: CodeStream, n_fft: int) -> SpectrumData:
     """One-sided power spectrum of the first n_fft post-warm-up codes.
 
-    n_fft must be a power of two no longer than the usable stream. The
-    transform itself is an exact DFT (verified against a direct O(N^2)
-    evaluation in the tests); see :class:`SpectrumData` for the scaling.
+    n_fft must be a power of two no longer than the usable stream. Callers
+    snap the tone to a coherent bin (:func:`coherent_frequency`), so no
+    window is needed (IEEE Std 1241-2010). The DFT is exact (checked against
+    a direct O(N^2) sum in the tests); :class:`SpectrumData` has the scaling.
     """
     if n_fft < 2 or n_fft & (n_fft - 1):
         raise ValueError("n_fft must be a power of two")
@@ -142,24 +134,21 @@ def spectrum(stream: CodeStream, n_fft: int, window: str = "rectangular") -> Spe
     if codes.size < n_fft:
         raise ValueError(f"stream too short: {codes.size} usable codes, need {n_fft}")
     x = (codes[:n_fft] - codes[:n_fft].mean()) / float(MID_CODE)
-    w = _window(window, n_fft)
-    spec = np.fft.rfft(x * w)
+    spec = np.fft.rfft(x)
     power = np.abs(spec) ** 2
     power[1:n_fft // 2] *= 2.0
     power /= float(n_fft) ** 2
     freqs = np.arange(n_fft // 2 + 1) * (stream.fs / n_fft)
-    return SpectrumData(bin_power=power, freqs=freqs, n_fft=n_fft,
-                        window=window, fs=stream.fs)
+    return SpectrumData(bin_power=power, freqs=freqs, n_fft=n_fft, fs=stream.fs)
 
 
 def sndr_sfdr_enob(data: SpectrumData, signal_bin: int) -> SpectrumReport:
     """Fold the spectrum into SNDR, SFDR and ENOB.
 
     SNDR is signal-bin power over the sum of every other bin, excluding DC
-    and the window leakage neighbors of the signal (+-1 bin rectangular,
-    +-2 hann); SFDR is signal power over the single largest remaining bin;
-    ENOB = (SNDR - 1.76)/6.02. A spectrum with no residual power reports the
-    200 dB cap.
+    and SIGNAL_GUARD_BINS bins on each side of the signal; SFDR is signal
+    power over the single largest remaining bin; ENOB = (SNDR - 1.76)/6.02.
+    A spectrum with no residual power reports the 200 dB cap.
     """
     p = data.bin_power
     nyquist = data.n_fft // 2
@@ -168,10 +157,9 @@ def sndr_sfdr_enob(data: SpectrumData, signal_bin: int) -> SpectrumReport:
     p_sig = float(p[signal_bin])
     if p_sig == 0.0:
         raise ValueError("signal bin has zero power")
-    leak = _LEAK[data.window]
     mask = np.ones(p.size, dtype=bool)
     mask[0] = False
-    mask[max(0, signal_bin - leak):signal_bin + leak + 1] = False
+    mask[signal_bin - SIGNAL_GUARD_BINS:signal_bin + SIGNAL_GUARD_BINS + 1] = False
     p_other = float(p[mask].sum())
     p_peak = float(p[mask].max()) if mask.any() else 0.0
 
@@ -182,7 +170,7 @@ def sndr_sfdr_enob(data: SpectrumData, signal_bin: int) -> SpectrumReport:
     floor = p_sig * 10.0 ** (-2.0 * DB_CAP / 10.0)
     dbc = 10.0 * np.log10(np.maximum(p, floor) / p_sig)
     return SpectrumReport(power_dbc=dbc, freqs=data.freqs, signal_bin=signal_bin,
-                          sndr_db=sndr, sfdr_db=sfdr, enob=enob, window=data.window)
+                          sndr_db=sndr, sfdr_db=sfdr, enob=enob)
 
 
 def coherent_frequency(fs: float, n_fft: int, f_target: float) -> tuple[float, int]:

@@ -2,10 +2,10 @@
 
 Keeping the total settling error of a stage under half an LSB and splitting
 it evenly between the static (finite gain) and dynamic (finite bandwidth)
-contributions gives two closed forms:
+contributions gives two closed forms, with n = N_BITS = 8:
 
-    gain budget:      1/(beta*a0) < err_fraction * 2^-n   ->  a0_min
-    bandwidth budget: exp(-t * 2*pi*beta*gbw) < err_fraction * 2^-n  ->  gbw_min
+    gain budget:      1/(beta*a0) < ERR_FRACTION * 2^-n   ->  a0_min
+    bandwidth budget: exp(-t * 2*pi*beta*gbw) < ERR_FRACTION * 2^-n  ->  gbw_min
 
 The LSB here is interpreted at the full converter resolution for every
 stage, which is what collapses the requirement to a single gain and a single
@@ -17,70 +17,41 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from typing import NamedTuple
 
-from .config import AdcConfig, N_BITS, gain_to_db, set_param, validate
+from .config import AdcConfig, N_BITS, set_param, validate
 from .correction import digitize
 from .engine import PIPELINE_LATENCY_SAMPLES
 from .metrics import coherent_frequency, ramp_linearity, sndr_sfdr_enob, spectrum
 from .waveforms import Waveform, generate
 
 SWEEP_METRICS = ("enob", "inl", "dnl")
+# each error term gets a quarter LSB: the half-LSB settling allowance split
+# equally between the static and the dynamic error
+ERR_FRACTION = 0.25
 
 
-@dataclass(frozen=True)
-class Budget:
-    """Settling error budget for one stage.
-
-    err_fraction is the share of an LSB granted to each error term; the
-    default 1/4 comes from splitting the half-LSB allowance equally between
-    the static and the dynamic error.
-    """
-
-    n_bits: int = N_BITS
-    err_fraction: float = 0.25
-    beta: float = 0.5
-    t_settle: float = 0.387 / 166.6e6
-
-    def __post_init__(self):
-        if self.n_bits < 1:
-            raise ValueError("n_bits must be >= 1")
-        if not 0.0 < self.err_fraction < 1.0:
-            raise ValueError("err_fraction must be in (0, 1)")
-        if self.beta <= 0.0:
-            raise ValueError("beta must be positive")
+def _check_positive(name: str, value: float) -> None:
+    if not value > 0.0:
+        raise ValueError(f"{name} must be positive, got {value!r}")
 
 
-class GainRequirement(NamedTuple):
-    linear: float
-    db: float
+def min_dc_gain(beta: float) -> float:
+    """Minimum amplifier DC gain (linear): a0_min = 2^N_BITS / (beta * ERR_FRACTION)."""
+    _check_positive("beta", beta)
+    return 2.0 ** N_BITS / (beta * ERR_FRACTION)
 
 
-def min_dc_gain(b: Budget) -> GainRequirement:
-    """Minimum amplifier DC gain: a0_min = 2^n_bits / (beta * err_fraction)."""
-    linear = 2.0 ** b.n_bits / (b.beta * b.err_fraction)
-    return GainRequirement(linear=linear, db=gain_to_db(linear))
-
-
-def min_gbw(b: Budget) -> float:
+def min_gbw(beta: float, t_settle: float) -> float:
     """Minimum gain-bandwidth product.
 
-    gbw_min = ln(1 / (err_fraction * 2^-n_bits)) / (2*pi*beta*t_settle),
+    gbw_min = ln(1 / (ERR_FRACTION * 2^-N_BITS)) / (2*pi*beta*t_settle),
     i.e. enough time constants inside t_settle for the residual exponential
     to drop below the budgeted fraction of an LSB.
     """
-    if b.t_settle <= 0.0:
-        raise ValueError("t_settle must be positive")
-    return math.log(1.0 / (b.err_fraction * 2.0 ** -b.n_bits)) / (
-        2.0 * math.pi * b.beta * b.t_settle)
-
-
-def budget_from_config(config: AdcConfig, n_bits: int = N_BITS,
-                       err_fraction: float = 0.25) -> Budget:
-    """Budget at the config's clocking and first-stage feedback factor."""
-    return Budget(n_bits=n_bits, err_fraction=err_fraction,
-                  beta=config.stages[0].ota.beta,
-                  t_settle=config.clock.t_settle)
+    _check_positive("beta", beta)
+    _check_positive("t_settle", t_settle)
+    return math.log(1.0 / (ERR_FRACTION * 2.0 ** -N_BITS)) / (
+        2.0 * math.pi * beta * t_settle)
 
 
 # ---------------------------------------------------------------------------

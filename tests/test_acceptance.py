@@ -10,10 +10,10 @@ import time
 import numpy as np
 import pytest
 
-from pipeadc import (Budget, CodeStream, OtaParams, PIPELINE_LATENCY_SAMPLES, PipelineEngine,
-                     Waveform, coherent_frequency, degraded_config, digitize, generate,
-                     ideal_config, ideal_quantize, min_dc_gain, min_gbw, ramp_linearity,
-                     settle_coefficients, settle_report, settling_fit_config,
+from pipeadc import (CodeStream, OtaParams, PIPELINE_LATENCY_SAMPLES, PipelineEngine,
+                     Waveform, coherent_frequency, degraded_config, digitize, gain_to_db,
+                     generate, ideal_config, ideal_quantize, min_dc_gain, min_gbw,
+                     ramp_linearity, settle_coefficients, settle_report, settling_fit_config,
                      sndr_sfdr_enob, spectrum)
 from pipeadc.config import set_param
 from pipeadc.stages import settle_value
@@ -80,12 +80,12 @@ def test_criterion_2_ideal_dynamic_range():
 
 
 def test_criterion_3_solver_anchors():
-    budget = Budget(n_bits=8, err_fraction=0.25, beta=0.5, t_settle=0.387 / 166.6e6)
-    gain = min_dc_gain(budget)
-    gbw = min_gbw(budget)
-    ok = abs(gain.db - 66.2) <= 0.05 and abs(gbw - 950e6) <= 0.02 * 950e6
+    gain = min_dc_gain(0.5)
+    gain_db = gain_to_db(gain)
+    gbw = min_gbw(0.5, 0.387 / 166.6e6)
+    ok = abs(gain_db - 66.2) <= 0.05 and abs(gbw - 950e6) <= 0.02 * 950e6
     _report(3, "minimum gain 66.2 dB and minimum GBW 950 MHz",
-            ok, f"A0 {gain.db:.2f} dB ({gain.linear:.0f}), GBW {gbw / 1e6:.1f} MHz")
+            ok, f"A0 {gain_db:.2f} dB ({gain:.0f}), GBW {gbw / 1e6:.1f} MHz")
 
 
 # The silicon's measured ENOB at 10.4 MHz. Printed beside criterion 4 so the

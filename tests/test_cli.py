@@ -19,9 +19,10 @@ def run(args, capsys):
 def test_specs_prints_requirements(tmp_path, capsys):
     status, out, _ = run(["specs", "--config", "default", "--out", str(tmp_path)], capsys)
     assert status == 0
-    assert "66.2" in out
-    assert "950 MHz" in out
-    assert "0.387" in out
+    assert out == (
+        "error budget: 0.25 LSB static + 0.25 LSB dynamic at 8 bits, beta = 0.5\n"
+        "A0  >= 2048 (66.2 dB; round up to 67 dB for margin)\n"
+        "GBW >= 950 MHz @ settle_fraction 0.387 (t_settle = 2.323 ns)\n")
 
 
 def test_module_entry_point_runs_command(tmp_path):
@@ -154,9 +155,27 @@ def test_a0_db_beyond_float_range_fails_with_message(tmp_path, capsys, args):
 
 
 def test_specs_margin_hint_rounds_up_the_required_gain(tmp_path, capsys):
-    status, out, _ = run(["specs", "--n-bits", "10", "--out", str(tmp_path)], capsys)
+    status, out, _ = run(["specs", "--out", str(tmp_path)], capsys)
     assert status == 0
-    assert "A0  >= 8192 (78.3 dB; round up to 79 dB for margin)" in out
+    assert "A0  >= 2048 (66.2 dB; round up to 67 dB for margin)" in out
+
+
+@pytest.mark.parametrize("args", [
+    ["spectrum", "--window", "hann"],
+    ["specs", "--n-bits", "10"],
+    ["specs", "--err-fraction", "0.1"],
+])
+def test_removed_measurement_options_are_usage_errors(tmp_path, capsys, args):
+    status, _, err = run([*args, "--out", str(tmp_path)], capsys)
+    assert status == 2
+    assert "unrecognized arguments" in err
+
+
+def test_non_integer_seed_sweep_fails_with_message(tmp_path, capsys):
+    status, _, err = run(["sweep", "--axis", "rng_seed", "--values", "inf", "--nfft", "256",
+                          "--out", str(tmp_path)], capsys)
+    assert status == 1
+    assert err.startswith("error: bad value for rng_seed: inf")
 
 
 def test_config_file_roundtrip_through_cli(tmp_path, capsys):

@@ -69,7 +69,10 @@ def _with_stage(i, stage):
      r"stages\[4\]\.ota: expected OtaParams, got ShaParams"),
     (AdcConfig(clock=None), "clock: expected ClockParams, got NoneType"),
     (AdcConfig(reference=None), "reference: expected ReferenceConfig, got NoneType"),
-], ids=["sha", "sha.ota", "stages", "stages[2]", "stages[4].ota", "clock", "reference"])
+    (AdcConfig(stages=None), "stages: expected tuple, got NoneType"),
+    (AdcConfig(flash_offsets=None), "flash_offsets: expected tuple, got NoneType"),
+], ids=["sha", "sha.ota", "stages", "stages[2]", "stages[4].ota", "clock", "reference",
+        "stages-none", "flash_offsets-none"])
 def test_nodes_must_have_their_declared_types(config, message):
     with pytest.raises(ConfigError, match=f"^{message}$"):
         validate(config)
@@ -209,6 +212,19 @@ def test_a0_db_beyond_float_range_is_bad_value(path):
     # an infinite gain in dB is still the ideal amplifier
     d = default_config()
     assert set_param(d, path, math.inf) == set_param(d, path.replace("a0_db", "a0"), math.inf)
+
+
+@pytest.mark.parametrize("value", [2.7, math.inf, math.nan, "2.7"],
+                         ids=["float", "inf", "nan", "text"])
+def test_int_leaf_rejects_non_integers(value):
+    with pytest.raises(ConfigError, match="^bad value for rng_seed: "):
+        set_param(default_config(), "rng_seed", value)
+
+
+def test_int_leaf_takes_integral_floats():
+    # sweep passes every value as a float
+    seed = set_param(default_config(), "rng_seed", 3.0).rng_seed
+    assert seed == 3 and type(seed) is int
 
 
 def test_ota_broadcast_path():

@@ -141,7 +141,7 @@ def test_linearity_csv_matches_oracle(out, n, pool):
 @given(pool=floats)
 def test_spectrum_csv_matches_oracle(out, n, pool):
     report = SpectrumReport(power_dbc=column(pool, n), freqs=column(pool, n, 3), signal_bin=1,
-                            sndr_db=0.0, sfdr_db=0.0, enob=0.0, window="hann")
+                            sndr_db=0.0, sfdr_db=0.0, enob=0.0)
     assert_same_bytes(out, reports.write_spectrum_csv, oracle_spectrum, report)
 
 

@@ -8,8 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pipeadc import (Budget, OtaParams, budget_from_config, default_config, degraded_config,
-                     ideal_config, min_dc_gain, min_gbw, settle_coefficients, sweep)
+from pipeadc import (OtaParams, degraded_config, gain_to_db, ideal_config, min_dc_gain,
+                     min_gbw, settle_coefficients, sweep)
 import pipeadc.solver
 from pipeadc.config import set_param
 from pipeadc.stages import settle_value
@@ -19,19 +19,18 @@ T_SETTLE = 0.387 / 166.6e6
 
 def test_min_gain_main_anchor():
     # n=8, beta=0.5, quarter-LSB budget: 2048 linear = 66.2 dB
-    req = min_dc_gain(Budget(n_bits=8, err_fraction=0.25, beta=0.5))
-    assert req.linear == pytest.approx(2048.0, rel=1e-12)
-    assert req.db == pytest.approx(66.2, abs=0.05)
+    gain = min_dc_gain(0.5)
+    assert gain == pytest.approx(2048.0, rel=1e-12)
+    assert gain_to_db(gain) == pytest.approx(66.2, abs=0.05)
 
 
 def test_min_gain_other_cases():
-    assert min_dc_gain(Budget(n_bits=8, err_fraction=0.25, beta=1.0)).linear == pytest.approx(1024.0)
-    assert min_dc_gain(Budget(n_bits=8, err_fraction=0.25, beta=1.0)).db == pytest.approx(60.2, abs=0.05)
-    assert min_dc_gain(Budget(n_bits=1, err_fraction=0.5, beta=1.0)).linear == pytest.approx(4.0)
+    assert min_dc_gain(1.0) == pytest.approx(1024.0)
+    assert gain_to_db(min_dc_gain(1.0)) == pytest.approx(60.2, abs=0.05)
 
 
 def test_min_gbw_reproduces_950mhz():
-    gbw = min_gbw(Budget(n_bits=8, err_fraction=0.25, beta=0.5, t_settle=T_SETTLE))
+    gbw = min_gbw(0.5, T_SETTLE)
     assert gbw == pytest.approx(950e6, rel=0.02)
     # closed form: (n*ln2 + ln(1/err)) / (2*pi*beta*t)
     want = (8 * math.log(2) + math.log(4)) / (2 * math.pi * 0.5 * T_SETTLE)
@@ -39,45 +38,30 @@ def test_min_gbw_reproduces_950mhz():
 
 
 def test_min_gbw_scales_exactly():
-    b = Budget(n_bits=8, err_fraction=0.25, beta=0.5, t_settle=T_SETTLE)
-    assert min_gbw(Budget(n_bits=8, err_fraction=0.25, beta=0.5,
-                          t_settle=2 * T_SETTLE)) == min_gbw(b) / 2.0
-    assert min_gbw(Budget(n_bits=8, err_fraction=0.25, beta=1.0,
-                          t_settle=T_SETTLE)) == pytest.approx(min_gbw(b) / 2.0, rel=1e-15)
+    gbw = min_gbw(0.5, T_SETTLE)
+    assert min_gbw(0.5, 2 * T_SETTLE) == gbw / 2.0
+    assert min_gbw(1.0, T_SETTLE) == pytest.approx(gbw / 2.0, rel=1e-15)
 
 
-def test_requirements_monotone_in_budget():
-    for err_lo, err_hi in [(0.1, 0.25), (0.25, 0.4)]:
-        assert min_dc_gain(Budget(err_fraction=err_lo)).linear > \
-            min_dc_gain(Budget(err_fraction=err_hi)).linear
-        assert min_gbw(Budget(err_fraction=err_lo)) > min_gbw(Budget(err_fraction=err_hi))
-    for n_lo, n_hi in [(6, 8), (8, 10)]:
-        assert min_dc_gain(Budget(n_bits=n_lo)).linear < min_dc_gain(Budget(n_bits=n_hi)).linear
-        assert min_gbw(Budget(n_bits=n_lo)) < min_gbw(Budget(n_bits=n_hi))
-
-
-def test_budget_validation():
-    with pytest.raises(ValueError):
-        Budget(n_bits=0)
-    with pytest.raises(ValueError):
-        Budget(err_fraction=0.0)
-    with pytest.raises(ValueError):
-        Budget(beta=-0.5)
-    with pytest.raises(ValueError):
-        min_gbw(Budget(t_settle=0.0))
-
-
-def test_budget_from_config():
-    b = budget_from_config(default_config())
-    assert b.beta == 0.5
-    assert b.t_settle == pytest.approx(T_SETTLE, rel=1e-15)
+@pytest.mark.parametrize("beta,t_settle,name", [
+    (-0.5, T_SETTLE, "beta"),
+    (0.0, T_SETTLE, "beta"),
+    (math.nan, T_SETTLE, "beta"),
+    (0.5, 0.0, "t_settle"),
+    (0.5, -T_SETTLE, "t_settle"),
+], ids=["negative-beta", "zero-beta", "nan-beta", "zero-t_settle", "negative-t_settle"])
+def test_budget_validation(beta, t_settle, name):
+    with pytest.raises(ValueError, match=f"^{name} must be positive"):
+        min_gbw(beta, t_settle)
+    if name == "beta":
+        with pytest.raises(ValueError, match="^beta must be positive"):
+            min_dc_gain(beta)
 
 
 def test_budget_consistency_with_settling():
     # an amplifier built exactly to the solved minimums settles a worst-case
     # full-swing residue to within half an LSB
-    b = Budget(n_bits=8, err_fraction=0.25, beta=0.5, t_settle=T_SETTLE)
-    ota = OtaParams(a0=min_dc_gain(b).linear, gbw=min_gbw(b), beta=0.5)
+    ota = OtaParams(a0=min_dc_gain(0.5), gbw=min_gbw(0.5, T_SETTLE), beta=0.5)
     vref = 0.6
     lsb = 2 * vref / 256.0
     settled = settle_value(vref, 0.0, *settle_coefficients(ota, T_SETTLE))
