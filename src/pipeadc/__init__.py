@@ -10,8 +10,8 @@ from .engine import (PIPELINE_LATENCY_SAMPLES, PipelineEngine, SettleRow, Simula
                      settle_report)
 from .metrics import (LinearityReport, SpectrumData, SpectrumReport,
                       coherent_frequency, ramp_linearity, sndr_sfdr_enob, spectrum)
-from .solver import SweepPoint, min_dc_gain, min_gbw, sweep
-from .stages import comparator_diff, flash2b, mdac_residue, settle_coefficients, sub_adc_decide
+from .solver import SweepPoint, min_dc_gain, min_gbw, ramp_report, sine_report, sweep
+from .stages import flash2b, mdac_residue, settle_coefficients, sub_adc_decide
 from .waveforms import Waveform, generate
 
 __version__ = "0.1.0"

@@ -12,15 +12,17 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from . import reports
 from .config import ConfigError, N_BITS, PRESETS, gain_to_db, load_config, preset_config
-from .correction import correct_result, digitize
 from .engine import PIPELINE_LATENCY_SAMPLES, PipelineEngine, settle_report
-from .metrics import coherent_frequency, ramp_linearity, sndr_sfdr_enob, spectrum
-from .solver import ERR_FRACTION, SWEEP_METRICS, min_dc_gain, min_gbw, sweep
+# digitize and the metrics are called through solver's sine_report and ramp_report;
+# bench/tracer.py patches them in this module as well, so they stay imported here
+from .correction import correct_result, digitize  # noqa: F401
+from .metrics import coherent_frequency, ramp_linearity, sndr_sfdr_enob, spectrum  # noqa: F401
+from .solver import (ERR_FRACTION, SWEEP_METRICS, min_dc_gain, min_gbw, ramp_report,
+                     sine_report, sweep)
 from .waveforms import KINDS, Waveform, generate
 
 OUT_DIR_ENV = "PIPEADC_OUT_DIR"
@@ -31,9 +33,10 @@ def _resolve_config(args):
     if name in PRESETS:
         config = preset_config(name, seed=args.seed)
     elif Path(name).exists():
-        config = load_config(name)
         if args.seed is not None:
-            config = replace(config, rng_seed=args.seed)
+            raise ConfigError("--seed applies to the degraded preset only; "
+                              f"config file {name!r} already holds its drawn values")
+        config = load_config(name)
     else:
         raise ConfigError(
             f"config {name!r} is neither a preset ({', '.join(sorted(PRESETS))}) nor a file")
@@ -51,7 +54,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", default="default",
                         help="preset name or config file path (default: default)")
     parser.add_argument("--seed", type=int, default=None,
-                        help="override the config's rng seed")
+                        help="mismatch draw of the degraded preset (default: 0)")
     parser.add_argument("--out", default=None,
                         help=f"output directory (default: ${OUT_DIR_ENV} or the cwd)")
 
@@ -62,14 +65,10 @@ def _cmd_simulate(args) -> int:
     fs = config.clock.fs
     amplitude = vref if args.amplitude is None else args.amplitude
     if args.waveform == "sine":
-        freq = args.frequency
-        if freq is None:
-            freq, _ = coherent_frequency(fs, 4096, fs / 16.0)
+        freq, _ = coherent_frequency(fs, 4096, fs / 16.0)
         wave = Waveform(kind="sine", length=args.length, amplitude=amplitude, frequency=freq)
     elif args.waveform in ("ramp", "pulse"):
-        wave = Waveform(kind=args.waveform, length=args.length,
-                        v_low=args.v_low if args.v_low is not None else -vref,
-                        v_high=args.v_high if args.v_high is not None else vref)
+        wave = Waveform(kind=args.waveform, length=args.length, v_low=-vref, v_high=vref)
     else:
         wave = Waveform(kind="dc", length=args.length, amplitude=amplitude)
     samples = generate(wave, config.clock)
@@ -86,12 +85,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_linearity(args) -> int:
-    config = _resolve_config(args)
-    vref = config.reference.vref
-    wave = Waveform(kind="ramp", length=args.samples + PIPELINE_LATENCY_SAMPLES,
-                    v_low=-vref, v_high=vref)
-    stream = digitize(generate(wave, config.clock), config)
-    report = ramp_linearity(stream)
+    report = ramp_report(_resolve_config(args), args.samples)
     out = _out_dir(args)
     csv_path = reports.write_linearity_csv(out / "linearity.csv", report)
     reports.write_linearity_plot(out / "linearity.gp", csv_path.name)
@@ -104,20 +98,11 @@ def _cmd_linearity(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    config = _resolve_config(args)
-    fs = config.clock.fs
-    vref = config.reference.vref
-    f_target = args.freq if args.freq is not None else fs / 16.0
-    f_in, signal_bin = coherent_frequency(fs, args.nfft, f_target)
-    wave = Waveform(kind="sine", length=args.nfft + PIPELINE_LATENCY_SAMPLES,
-                    amplitude=vref if args.amplitude is None else args.amplitude,
-                    frequency=f_in)
-    stream = digitize(generate(wave, config.clock), config)
-    report = sndr_sfdr_enob(spectrum(stream, args.nfft), signal_bin)
+    report, f_in = sine_report(_resolve_config(args), args.nfft)
     out = _out_dir(args)
     csv_path = reports.write_spectrum_csv(out / "spectrum.csv", report)
     reports.write_spectrum_plot(out / "spectrum.gp", csv_path.name)
-    print(f"f_in = {f_in / 1e6:.4f} MHz (bin {signal_bin} of {args.nfft})")
+    print(f"f_in = {f_in / 1e6:.4f} MHz (bin {report.signal_bin} of {args.nfft})")
     print(f"SNDR = {report.sndr_db:.2f} dB, SFDR = {report.sfdr_db:.2f} dB, "
           f"ENOB = {report.enob:.2f} bit")
     print(f"spectrum -> {csv_path}")
@@ -177,11 +162,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--waveform", choices=KINDS, default="sine")
     p.add_argument("--length", type=int, default=4096 + PIPELINE_LATENCY_SAMPLES)
-    p.add_argument("--amplitude", type=float, default=None, help="volts (default: vref)")
-    p.add_argument("--frequency", type=float, default=None,
-                   help="sine frequency in Hz (default: coherent near fs/16)")
-    p.add_argument("--v-low", type=float, default=None, help="ramp/pulse low edge (default: -vref)")
-    p.add_argument("--v-high", type=float, default=None, help="ramp/pulse high edge (default: +vref)")
+    p.add_argument("--amplitude", type=float, default=None,
+                   help="sine amplitude or dc level in volts (default: vref); the sine is "
+                        "the coherent tone near fs/16, a ramp or pulse spans -vref to +vref")
     p.add_argument("--trace", action="store_true", help="also dump the per-sample residue trace")
     p.set_defaults(func=_cmd_simulate)
 
@@ -190,12 +173,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=2 ** 20)
     p.set_defaults(func=_cmd_linearity)
 
-    p = sub.add_parser("spectrum", help="coherent sine capture with SNDR/SFDR/ENOB")
+    p = sub.add_parser("spectrum", help="coherent full-scale sine near fs/16: SNDR/SFDR/ENOB")
     _add_common(p)
     p.add_argument("--nfft", type=int, default=4096)
-    p.add_argument("--freq", type=float, default=None,
-                   help="target input frequency in Hz (snapped to a coherent bin)")
-    p.add_argument("--amplitude", type=float, default=None, help="volts (default: vref)")
     p.set_defaults(func=_cmd_spectrum)
 
     p = sub.add_parser("specs", help="minimum DC gain and GBW from the 8-bit error budget")

@@ -26,6 +26,10 @@ import numpy as np
 N_BITS = 8
 N_STAGES = 6
 N_FLASH_THRESHOLDS = 3
+# Monte Carlo sigmas of the degraded preset's static draws
+GAIN_SIGMA = 1e-3
+DAC_SIGMA = 1e-3
+OFFSET_SIGMA = 5e-3
 
 
 class ConfigError(ValueError):
@@ -121,8 +125,8 @@ class AdcConfig:
     """Full parameterization of the converter.
 
     One sample-and-hold in front, exactly six 1.5-bit stages, and a 2-bit
-    flash with three thresholds. rng_seed fixes every Monte Carlo draw made
-    from this config.
+    flash with three thresholds. Drawn mismatch is stored as plain values;
+    the seed it was drawn with is an argument of :func:`with_mismatch`.
     """
 
     reference: ReferenceConfig = ReferenceConfig()
@@ -130,7 +134,6 @@ class AdcConfig:
     sha: ShaParams = ShaParams()
     stages: tuple[StageParams, ...] = field(default_factory=_default_stages)
     flash_offsets: tuple[float, float, float] = (0.0, 0.0, 0.0)
-    rng_seed: int = 0
 
 
 @dataclass(frozen=True)
@@ -204,8 +207,6 @@ def validate(config: AdcConfig) -> AdcConfig:
         raise ConfigError("flash_offsets: expected 3 values")
     for i, off in enumerate(config.flash_offsets):
         _check(math.isfinite(off), f"flash_offsets[{i}]", "offset must be finite")
-    _check(isinstance(config.rng_seed, int) and not isinstance(config.rng_seed, bool),
-           "rng_seed", "rng_seed must be an integer")
     return config
 
 
@@ -213,28 +214,25 @@ def validate(config: AdcConfig) -> AdcConfig:
 # presets
 
 
-def default_config(seed: int = 0) -> AdcConfig:
+def default_config() -> AdcConfig:
     """Design-point preset: the amplifier as built (85 dB DC gain, 2.5 GHz GBW)."""
-    return replace(AdcConfig(), rng_seed=seed)
+    return AdcConfig()
 
 
-def ideal_config(seed: int = 0) -> AdcConfig:
+def ideal_config() -> AdcConfig:
     """Numerically ideal converter: huge gain and bandwidth, zero mismatch, reset on."""
     sha = ShaParams(OtaParams(a0=1e9, gbw=1e15, beta=1.0))
     stage = StageParams(ota=OtaParams(a0=1e9, gbw=1e15, beta=0.5))
-    return AdcConfig(sha=sha, stages=tuple(stage for _ in range(N_STAGES)), rng_seed=seed)
+    return AdcConfig(sha=sha, stages=tuple(stage for _ in range(N_STAGES)))
 
 
-def degraded_config(seed: int = 0,
-                    gain_sigma: float = 1e-3,
-                    dac_sigma: float = 1e-3,
-                    offset_sigma: float = 5e-3) -> AdcConfig:
+def degraded_config(seed: int = 0) -> AdcConfig:
     """Budget-limit preset: every OTA at the minimum derived gain and bandwidth.
 
     67 dB / 950 MHz at settle_fraction 0.387 puts both the static and the
     dynamic settling error near a quarter LSB per stage. On top of that,
-    static gain/DAC mismatch and comparator offsets are drawn from the given
-    sigmas with the given seed.
+    static gain/DAC mismatch and comparator offsets are drawn with the given
+    seed (see :func:`with_mismatch`).
 
     Expected ENOB: about 7.96 as the mean over seeds 0-19 for a coherent
     full-scale 4096-point sine at 10.45 MHz, as the first-order error model
@@ -246,8 +244,7 @@ def degraded_config(seed: int = 0,
     a0 = db_to_gain(67.0)
     sha = ShaParams(OtaParams(a0=a0, gbw=950e6, beta=1.0))
     stage = StageParams(ota=OtaParams(a0=a0, gbw=950e6, beta=0.5))
-    base = AdcConfig(sha=sha, stages=tuple(stage for _ in range(N_STAGES)), rng_seed=seed)
-    return with_mismatch(base, gain_sigma, dac_sigma, offset_sigma)
+    return with_mismatch(AdcConfig(sha=sha, stages=tuple(stage for _ in range(N_STAGES))), seed)
 
 
 def settling_fit_config() -> AdcConfig:
@@ -267,41 +264,40 @@ PRESETS = {
     "default": default_config,
     "ideal": ideal_config,
     "degraded": degraded_config,
-    "settling-fit": lambda seed=0: settling_fit_config(),
+    "settling-fit": settling_fit_config,
 }
 
 
 def preset_config(name: str, seed: int | None = None) -> AdcConfig:
+    """The named preset; seed (default 0) picks the draw of the one preset that draws mismatch."""
     try:
         factory = PRESETS[name]
     except KeyError:
         raise ConfigError(f"unknown preset: {name} (choose from {', '.join(sorted(PRESETS))})")
-    return factory(seed=seed if seed is not None else 0)
+    if name == "degraded":
+        return factory(seed=seed if seed is not None else 0)
+    if seed is not None:
+        raise ConfigError(f"preset {name} draws no mismatch, so it takes no seed")
+    return factory()
 
 
-def with_mismatch(base: AdcConfig,
-                  gain_sigma: float,
-                  dac_sigma: float,
-                  offset_sigma: float) -> AdcConfig:
+def with_mismatch(base: AdcConfig, seed: int) -> AdcConfig:
     """Draw static mismatch and offsets once and return the resulting concrete config.
 
-    Gaussian draws: gain and DAC mismatch per stage, both comparator offsets
-    per stage, and the three flash threshold offsets. Mismatch draws are
-    clipped to +-0.49 to stay inside the validity domain (never reached for
-    realistic sigmas). The draws come from ``base.rng_seed``, so the same
-    (base, sigmas) always yields the same config.
+    Gaussian draws from ``np.random.default_rng(seed)``: gain and DAC mismatch
+    per stage (GAIN_SIGMA, DAC_SIGMA), both comparator offsets per stage and
+    the three flash threshold offsets (OFFSET_SIGMA). The same (base, seed)
+    always yields the same config.
     """
-    rng = np.random.default_rng(base.rng_seed)
-    clip = 0.49
+    rng = np.random.default_rng(seed)
     # one draw in stage order (gain, dac, hi, lo), then the flash offsets:
     # the same floats as one scalar draw after another
-    sigmas = [gain_sigma, dac_sigma, offset_sigma, offset_sigma] * len(base.stages)
-    draws = rng.normal(0.0, sigmas + [offset_sigma] * N_FLASH_THRESHOLDS).tolist()
+    sigmas = [GAIN_SIGMA, DAC_SIGMA, OFFSET_SIGMA, OFFSET_SIGMA] * len(base.stages)
+    draws = rng.normal(0.0, sigmas + [OFFSET_SIGMA] * N_FLASH_THRESHOLDS).tolist()
     stages = []
     for i, st in enumerate(base.stages):
         gain, dac, hi, lo = draws[4 * i:4 * i + 4]
-        stages.append(replace(st, gain_mismatch=min(max(gain, -clip), clip),
-                              dac_mismatch=min(max(dac, -clip), clip),
+        stages.append(replace(st, gain_mismatch=gain, dac_mismatch=dac,
                               cmp_offset_hi=hi, cmp_offset_lo=lo))
     flash = tuple(draws[len(sigmas):])
     return validate(replace(base, stages=tuple(stages), flash_offsets=flash))
@@ -327,13 +323,13 @@ def _replace_leaf(node, kind, keys: list, value, path: str):
     """Return node (declared as kind) with the leaf that keys name set to value.
 
     The value is parsed by the leaf's declared type, not by the type of the
-    value it replaces: bool through _as_bool, int through _as_int, else float.
+    value it replaces: bool through _as_bool, else float.
     """
     children = _children(kind)
     if not keys:
         if children is not None:
             raise ConfigError(f"unknown key: {path}")
-        parse = _as_bool if kind is bool else _as_int if kind is int else float
+        parse = _as_bool if kind is bool else float
         try:
             return parse(value)
         except ValueError as exc:
@@ -357,10 +353,9 @@ def set_param(config: AdcConfig, path: str, value) -> AdcConfig:
     """Return a copy of config with the dotted-path parameter replaced.
 
     Paths are the config file keys: ``clock.fs``, ``reference.vref``,
-    ``sha.ota.beta``, ``stages[2].gain_mismatch``, ``flash_offsets[0]``,
-    ``rng_seed``. Two conveniences: gains may be set in dB through an
-    ``a0_db`` leaf, and the prefix ``ota.`` broadcasts one amplifier field to
-    the SHA and all six stages at once.
+    ``sha.ota.beta``, ``stages[2].gain_mismatch``, ``flash_offsets[0]``. Two
+    conveniences: gains may be set in dB through an ``a0_db`` leaf, and the
+    prefix ``ota.`` broadcasts one amplifier field to the SHA and all six stages.
     """
     keys = [int(m[1]) if (m := re.fullmatch(r"\[(\d+)\]", k)) else k
             for k in re.split(r"\.|(?=\[)", path)]
@@ -369,13 +364,6 @@ def set_param(config: AdcConfig, path: str, value) -> AdcConfig:
                         for node in (config.sha, *config.stages))
         return replace(config, sha=sha, stages=tuple(stages))
     return _replace_leaf(config, AdcConfig, keys, value, path)
-
-
-def _as_int(value) -> int:
-    """An int, an integral float (sweep values arrive as floats) or int text."""
-    if isinstance(value, bool) or not (isinstance(value, (str, int)) or float(value).is_integer()):
-        raise ValueError(f"not an integer: {value!r}")
-    return int(value)
 
 
 def _as_bool(value) -> bool:

@@ -1,4 +1,4 @@
-"""Error-budget inversion and design-space sweeps.
+"""Error-budget inversion, the converter's two bench tests, and design-space sweeps.
 
 Keeping the total settling error of a stage under half an LSB and splitting
 it evenly between the static (finite gain) and dynamic (finite bandwidth)
@@ -21,7 +21,8 @@ from dataclasses import dataclass
 from .config import AdcConfig, N_BITS, set_param, validate
 from .correction import digitize
 from .engine import PIPELINE_LATENCY_SAMPLES
-from .metrics import coherent_frequency, ramp_linearity, sndr_sfdr_enob, spectrum
+from .metrics import (LinearityReport, SpectrumReport, coherent_frequency, ramp_linearity,
+                      sndr_sfdr_enob, spectrum)
 from .waveforms import Waveform, generate
 
 SWEEP_METRICS = ("enob", "inl", "dnl")
@@ -55,6 +56,32 @@ def min_gbw(beta: float, t_settle: float) -> float:
 
 
 # ---------------------------------------------------------------------------
+# the two bench tests, each assembled here only
+
+
+def sine_report(config: AdcConfig, n_fft: int) -> tuple[SpectrumReport, float]:
+    """SNDR/SFDR/ENOB of a full-scale sine at the coherent bin nearest fs/16, and its frequency.
+
+    The capture is n_fft samples plus the pipeline latency, so the metric sees
+    n_fft codes after the warm-up.
+    """
+    fs = config.clock.fs
+    f_in, signal_bin = coherent_frequency(fs, n_fft, fs / 16.0)
+    wave = Waveform(kind="sine", length=n_fft + PIPELINE_LATENCY_SAMPLES,
+                    amplitude=config.reference.vref, frequency=f_in)
+    stream = digitize(generate(wave, config.clock), config)
+    return sndr_sfdr_enob(spectrum(stream, n_fft), signal_bin), f_in
+
+
+def ramp_report(config: AdcConfig, samples: int) -> LinearityReport:
+    """Code-density DNL/INL of a -vref to +vref ramp of samples plus the pipeline latency."""
+    vref = config.reference.vref
+    wave = Waveform(kind="ramp", length=samples + PIPELINE_LATENCY_SAMPLES,
+                    v_low=-vref, v_high=vref)
+    return ramp_linearity(digitize(generate(wave, config.clock), config))
+
+
+# ---------------------------------------------------------------------------
 # parameter sweeps
 
 
@@ -67,17 +94,9 @@ class SweepPoint:
 def _sweep_one(args) -> float:
     config, axis, value, metric, n_fft, ramp_samples = args
     cfg = validate(set_param(config, axis, value))
-    fs = cfg.clock.fs
-    vref = cfg.reference.vref
     if metric == "enob":
-        f_in, m = coherent_frequency(fs, n_fft, fs / 16.0)
-        wave = generate(Waveform(kind="sine", length=n_fft + PIPELINE_LATENCY_SAMPLES,
-                                 amplitude=vref, frequency=f_in), cfg.clock)
-        report = sndr_sfdr_enob(spectrum(digitize(wave, cfg), n_fft), m)
-        return report.enob
-    wave = generate(Waveform(kind="ramp", length=ramp_samples + PIPELINE_LATENCY_SAMPLES,
-                             v_low=-vref, v_high=vref), cfg.clock)
-    report = ramp_linearity(digitize(wave, cfg))
+        return sine_report(cfg, n_fft)[0].enob
+    report = ramp_report(cfg, ramp_samples)
     if metric == "dnl":
         return abs(report.max_dnl[0])
     return abs(report.max_inl[0])
@@ -88,11 +107,11 @@ def sweep(config: AdcConfig, axis: str, values, metric: str,
           jobs: int = 1) -> list[SweepPoint]:
     """Map one parameter axis to a metric, one independent run per value.
 
-    Each run rebuilds a fresh engine from the modified config (same seed), so
-    runs are order-independent and may fan out across processes with jobs > 1;
-    the pool never gets more workers than there are values or CPUs. Results
-    always come back in input order. axis takes the config file key syntax,
-    including the a0_db alias and the broadcasting ota. prefix.
+    Each run rebuilds a fresh engine from the modified config (same drawn
+    mismatch), so runs are order-independent and may fan out across processes
+    with jobs > 1; the pool never gets more workers than there are values or
+    CPUs. Results always come back in input order. axis takes the config file
+    key syntax, including the a0_db alias and the broadcasting ota. prefix.
     """
     if metric not in SWEEP_METRICS:
         raise ValueError(f"unknown sweep metric: {metric!r} (use one of {SWEEP_METRICS})")

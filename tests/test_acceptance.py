@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 
 from pipeadc import (CodeStream, OtaParams, PIPELINE_LATENCY_SAMPLES, PipelineEngine,
-                     Waveform, coherent_frequency, degraded_config, digitize, gain_to_db,
-                     generate, ideal_config, ideal_quantize, min_dc_gain, min_gbw,
-                     ramp_linearity, settle_coefficients, settle_report, settling_fit_config,
+                     Waveform, coherent_frequency, default_config, degraded_config, digitize,
+                     gain_to_db, generate, ideal_config, ideal_quantize, min_dc_gain, min_gbw,
+                     ramp_report, settle_coefficients, settle_report, sine_report,
                      sndr_sfdr_enob, spectrum)
 from pipeadc.config import set_param
 from pipeadc.stages import settle_value
@@ -30,23 +30,6 @@ def _report(num: int, desc: str, ok: bool, detail: str = "") -> None:
         line += f" ({detail})"
     print(line)
     assert ok, line
-
-
-def _sine_stream(config, n_fft=NFFT, f_target=10.417e6, amplitude=VREF):
-    f_in, signal_bin = coherent_frequency(config.clock.fs, n_fft, f_target)
-    wave = generate(Waveform(kind="sine", length=n_fft + PIPELINE_LATENCY_SAMPLES,
-                             amplitude=amplitude, frequency=f_in), config.clock)
-    return digitize(wave, config), signal_bin
-
-
-def _enob(config):
-    stream, signal_bin = _sine_stream(config)
-    return sndr_sfdr_enob(spectrum(stream, NFFT), signal_bin).enob
-
-
-def _sndr(config):
-    stream, signal_bin = _sine_stream(config)
-    return sndr_sfdr_enob(spectrum(stream, NFFT), signal_bin).sndr_db
 
 
 def test_criterion_1_oracle_equivalence():
@@ -71,8 +54,7 @@ def test_criterion_1_oracle_equivalence():
 
 def test_criterion_2_ideal_dynamic_range():
     t0 = time.perf_counter()
-    stream, signal_bin = _sine_stream(ideal_config())
-    rep = sndr_sfdr_enob(spectrum(stream, NFFT), signal_bin)
+    rep, _ = sine_report(ideal_config(), NFFT)
     elapsed = time.perf_counter() - t0
     ok = abs(rep.sndr_db - 49.9) <= 0.3 and abs(rep.enob - 8.00) <= 0.05 and elapsed < 5.0
     _report(2, "full-scale coherent sine through the ideal pipeline",
@@ -137,7 +119,7 @@ def _first_order_enob(config):
 
 def test_criterion_4_enob_bracket():
     configs = [degraded_config(seed=seed) for seed in range(20)]
-    enobs = [_enob(cfg) for cfg in configs]
+    enobs = [sine_report(cfg, NFFT)[0].enob for cfg in configs]
     mean = float(np.mean(enobs))
     predicted = float(np.mean([_first_order_enob(cfg) for cfg in configs]))
     ok = abs(mean - predicted) <= FIRST_ORDER_TOL_BITS
@@ -152,16 +134,10 @@ def test_criterion_5_linearity_brackets():
     t0 = time.perf_counter()
     max_dnl, max_inl = 0.0, 0.0
     for seed in range(20):
-        cfg = degraded_config(seed=seed)
-        wave = generate(Waveform(kind="ramp", length=2 ** 20 + PIPELINE_LATENCY_SAMPLES,
-                                 v_low=-VREF, v_high=VREF), cfg.clock)
-        rep = ramp_linearity(digitize(wave, cfg))
+        rep = ramp_report(degraded_config(seed=seed), 2 ** 20)
         max_dnl = max(max_dnl, abs(rep.max_dnl[0]))
         max_inl = max(max_inl, abs(rep.max_inl[0]))
-    ideal_cfg = ideal_config()
-    wave = generate(Waveform(kind="ramp", length=2 ** 20 + PIPELINE_LATENCY_SAMPLES,
-                             v_low=-VREF, v_high=VREF), ideal_cfg.clock)
-    ideal_rep = ramp_linearity(digitize(wave, ideal_cfg))
+    ideal_rep = ramp_report(ideal_config(), 2 ** 20)
     ideal_dnl = abs(ideal_rep.max_dnl[0])
     ideal_inl = abs(ideal_rep.max_inl[0])
     elapsed = time.perf_counter() - t0
@@ -188,8 +164,9 @@ def test_criterion_6_settling_analytics():
         want = v_static * (1.0 - math.exp(-t / tau))
         if want != 0.0:
             worst = max(worst, abs(got - want) / abs(want))
-    rows = settle_report(degraded_config(seed=0, gain_sigma=0, dac_sigma=0,
-                                         offset_sigma=0))
+    # the degraded preset's amplifiers without its drawn mismatch
+    rows = settle_report(set_param(set_param(default_config(), "ota.a0_db", 67.0),
+                                   "ota.gbw", 950e6))
     errs = [r.error_pct for r in rows]
     monotone = all(b >= a for a, b in zip(errs, errs[1:]))
     ok = worst < 1e-9 and monotone
@@ -201,9 +178,9 @@ def test_criterion_7_reset_phase():
     # the memory term scales with the residual exponential, so it is surfaced
     # at a bandwidth where settling is visibly incomplete (GBW 500 MHz)
     base = set_param(degraded_config(seed=0), "ota.gbw", 500e6)
-    sndr_on = _sndr(base)
+    sndr_on = sine_report(base, NFFT)[0].sndr_db
     leaky = set_param(set_param(base, "clock.reset_enabled", False), "ota.k_mem", 0.05)
-    sndr_off = _sndr(leaky)
+    sndr_off = sine_report(leaky, NFFT)[0].sndr_db
 
     clean = set_param(set_param(base, "clock.reset_enabled", False), "ota.k_mem", 0.0)
     wave = generate(Waveform(kind="sine", length=512, amplitude=VREF,

@@ -164,6 +164,11 @@ def test_specs_margin_hint_rounds_up_the_required_gain(tmp_path, capsys):
     ["spectrum", "--window", "hann"],
     ["specs", "--n-bits", "10"],
     ["specs", "--err-fraction", "0.1"],
+    ["spectrum", "--freq", "1e6"],
+    ["spectrum", "--amplitude", "0.3"],
+    ["simulate", "--frequency", "1e6"],
+    ["simulate", "--v-low", "-0.3"],
+    ["simulate", "--v-high", "0.3"],
 ])
 def test_removed_measurement_options_are_usage_errors(tmp_path, capsys, args):
     status, _, err = run([*args, "--out", str(tmp_path)], capsys)
@@ -175,7 +180,18 @@ def test_non_integer_seed_sweep_fails_with_message(tmp_path, capsys):
     status, _, err = run(["sweep", "--axis", "rng_seed", "--values", "inf", "--nfft", "256",
                           "--out", str(tmp_path)], capsys)
     assert status == 1
-    assert err.startswith("error: bad value for rng_seed: inf")
+    assert err == "error: unknown key: rng_seed\n"
+
+
+@pytest.mark.parametrize("config", ["ideal", "{cfg}"], ids=["preset", "file"])
+def test_seed_without_a_mismatch_draw_fails_with_message(tmp_path, capsys, config):
+    cfg_path = tmp_path / "my.cfg"
+    save_config(default_config(), cfg_path)
+    status, out, err = run(["spectrum", "--config", config.format(cfg=cfg_path), "--seed", "1",
+                            "--nfft", "256", "--out", str(tmp_path)], capsys)
+    assert status == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_config_file_roundtrip_through_cli(tmp_path, capsys):

@@ -78,11 +78,6 @@ def test_nodes_must_have_their_declared_types(config, message):
         validate(config)
 
 
-def test_bool_seed_rejected():
-    with pytest.raises(ConfigError, match="rng_seed"):
-        validate(AdcConfig(rng_seed=True))
-
-
 def test_error_reports_field_path():
     bad = set_param(default_config(), "stages[2].ota.beta", -1.0)
     with pytest.raises(ConfigError) as err:
@@ -111,8 +106,7 @@ _configs = st.builds(
                     reset_enabled=st.booleans()),
     sha=st.builds(ShaParams, ota=_otas),
     stages=st.lists(_stages, min_size=N_STAGES, max_size=N_STAGES).map(tuple),
-    flash_offsets=st.tuples(_finite(), _finite(), _finite()),
-    rng_seed=st.integers(-2 ** 70, 2 ** 70))
+    flash_offsets=st.tuples(_finite(), _finite(), _finite()))
 
 
 @settings(derandomize=True, deadline=None, max_examples=60, database=None)
@@ -130,7 +124,7 @@ def test_roundtrip_identity(cfg):
                                     settling_fit_config()])
 def test_presets_write_sixty_keys(preset):
     keys = [line.split(" = ")[0] for line in config_to_text(preset).splitlines()[1:]]
-    assert len(keys) == len(set(keys)) == 60
+    assert len(keys) == len(set(keys)) == 59
     assert [k for k in keys if k.startswith("sha.")] == ["sha.ota.a0", "sha.ota.gbw",
                                                          "sha.ota.beta", "sha.ota.k_mem"]
 
@@ -147,14 +141,12 @@ def test_partial_file_overrides_defaults():
     clock.fs = 100e6   # trailing comment
     stages[2].gain_mismatch = 0.01
     clock.reset_enabled = false
-    rng_seed = 42
     """
     c = parse_config_text(text)
     assert c.clock.fs == 100e6
     assert c.stages[2].gain_mismatch == 0.01
     assert c.stages[1].gain_mismatch == 0.0
     assert c.clock.reset_enabled is False
-    assert c.rng_seed == 42
 
 
 def test_unknown_key_rejected():
@@ -169,6 +161,8 @@ def test_unknown_key_rejected():
     "flash_offsets[3]", "sha.a0_db", "clock.t_settle",
     # the SHA has no sub-ADC or MDAC, so no stage keys
     "sha.gain_mismatch", "sha.dac_mismatch", "sha.cmp_offset_hi", "sha.cmp_offset_lo",
+    # the mismatch seed is an argument of the degraded preset, not a config value
+    "rng_seed",
 ])
 def test_non_leaf_and_out_of_range_paths_are_unknown_keys(path):
     with pytest.raises(ConfigError, match=f"^unknown key: {re.escape(path)}$"):
@@ -184,7 +178,6 @@ def test_readme_config_example_parses_to_its_values():
     assert c.sha.ota.a0 == db_to_gain(67.0)
     assert c.stages[2].gain_mismatch == 0.001
     assert c.flash_offsets == (0.002, 0.0, 0.0)
-    assert c.rng_seed == 7
     assert [st.ota.gbw for st in (c.sha, *c.stages)] == [950e6] * (N_STAGES + 1)
     # everything the block does not name keeps its default
     d = default_config()
@@ -214,19 +207,6 @@ def test_a0_db_beyond_float_range_is_bad_value(path):
     assert set_param(d, path, math.inf) == set_param(d, path.replace("a0_db", "a0"), math.inf)
 
 
-@pytest.mark.parametrize("value", [2.7, math.inf, math.nan, "2.7"],
-                         ids=["float", "inf", "nan", "text"])
-def test_int_leaf_rejects_non_integers(value):
-    with pytest.raises(ConfigError, match="^bad value for rng_seed: "):
-        set_param(default_config(), "rng_seed", value)
-
-
-def test_int_leaf_takes_integral_floats():
-    # sweep passes every value as a float
-    seed = set_param(default_config(), "rng_seed", 3.0).rng_seed
-    assert seed == 3 and type(seed) is int
-
-
 def test_ota_broadcast_path():
     c = set_param(default_config(), "ota.gbw", 1e9)
     assert c.sha.ota.gbw == 1e9
@@ -237,9 +217,9 @@ def test_ota_broadcast_path():
 
 
 def test_mismatch_draws_deterministic_and_bounded():
-    a = with_mismatch(default_config(seed=7), 1e-3, 1e-3, 5e-3)
-    b = with_mismatch(default_config(seed=7), 1e-3, 1e-3, 5e-3)
-    other = with_mismatch(default_config(seed=8), 1e-3, 1e-3, 5e-3)
+    a = with_mismatch(default_config(), 7)
+    b = with_mismatch(default_config(), 7)
+    other = with_mismatch(default_config(), 8)
     assert a == b
     assert a != other
     for st in a.stages:
@@ -251,8 +231,12 @@ def test_mismatch_draws_deterministic_and_bounded():
 def test_presets_registry():
     assert preset_config("default") == default_config()
     assert preset_config("degraded", seed=5) == degraded_config(seed=5)
+    assert preset_config("degraded") == degraded_config(seed=0)
     with pytest.raises(ConfigError, match="unknown preset"):
         preset_config("nope")
+    for name in ("default", "ideal", "settling-fit"):
+        with pytest.raises(ConfigError, match=f"^preset {name} draws no mismatch"):
+            preset_config(name, seed=0)
 
 
 def test_preset_parameter_anchors():

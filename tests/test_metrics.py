@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -174,6 +176,23 @@ def test_degenerate_spectrum_caps_at_200db():
     rep = sndr_sfdr_enob(data, m)
     assert rep.sndr_db == 200.0
     assert rep.sfdr_db == 200.0
+
+
+def test_sndr_sfdr_leave_out_dc_and_one_bin_each_side_of_the_signal():
+    # known answer: DC and bins m-1, m+1 are left out, bins m-2, m+2 count
+    n_fft, m = 256, 31
+    power = np.zeros(n_fft // 2 + 1)
+    power[m] = 1.0
+    power[0] = 10.0
+    power[[m - 1, m + 1]] = 0.5
+    power[[m - 2, m + 2]] = 1e-4
+    power[90] = 1e-5
+    from pipeadc.metrics import SpectrumData
+    data = SpectrumData(bin_power=power, freqs=np.arange(n_fft // 2 + 1) * FS / n_fft,
+                        n_fft=n_fft, fs=FS)
+    rep = sndr_sfdr_enob(data, m)
+    assert rep.sndr_db == pytest.approx(10.0 * math.log10(1.0 / 2.1e-4), rel=1e-12)
+    assert rep.sfdr_db == pytest.approx(40.0, rel=1e-12)
 
 
 def test_zero_signal_bin_rejected():

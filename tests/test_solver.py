@@ -8,8 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pipeadc import (OtaParams, degraded_config, gain_to_db, ideal_config, min_dc_gain,
-                     min_gbw, settle_coefficients, sweep)
+from pipeadc import (OtaParams, PIPELINE_LATENCY_SAMPLES, Waveform, coherent_frequency,
+                     degraded_config, digitize, gain_to_db, generate, ideal_config, min_dc_gain,
+                     min_gbw, ramp_linearity, ramp_report, settle_coefficients, sine_report,
+                     sndr_sfdr_enob, spectrum, sweep)
 import pipeadc.solver
 from pipeadc.config import set_param
 from pipeadc.stages import settle_value
@@ -66,6 +68,37 @@ def test_budget_consistency_with_settling():
     lsb = 2 * vref / 256.0
     settled = settle_value(vref, 0.0, *settle_coefficients(ota, T_SETTLE))
     assert abs(settled - vref) <= 0.5 * lsb
+
+
+# --- the two bench tests -------------------------------------------------------
+
+
+def _fields(report):
+    """Every field of a report, arrays as bytes, so equal means bitwise equal."""
+    return [v.tobytes() if isinstance(v, np.ndarray) else v for v in vars(report).values()]
+
+
+@pytest.mark.parametrize("config", [ideal_config(), degraded_config(seed=3)],
+                         ids=["ideal", "degraded-3"])
+def test_sine_and_ramp_reports_equal_the_hand_built_chain(config):
+    fs, vref = config.clock.fs, config.reference.vref
+    n_fft, samples = 1024, 2 ** 16
+    f_in, m = coherent_frequency(fs, n_fft, fs / 16.0)
+    sine = generate(Waveform(kind="sine", length=n_fft + PIPELINE_LATENCY_SAMPLES,
+                             amplitude=vref, frequency=f_in), config.clock)
+    want = sndr_sfdr_enob(spectrum(digitize(sine, config), n_fft), m)
+    got, got_f_in = sine_report(config, n_fft)
+    assert got_f_in == f_in
+    assert _fields(got) == _fields(want)
+    ramp = generate(Waveform(kind="ramp", length=samples + PIPELINE_LATENCY_SAMPLES,
+                             v_low=-vref, v_high=vref), config.clock)
+    assert _fields(ramp_report(config, samples)) == _fields(ramp_linearity(digitize(ramp, config)))
+
+
+def test_sweep_enob_point_equals_sine_report():
+    config = degraded_config(seed=2)
+    (point,) = sweep(config, "ota.gbw", [800e6], "enob", n_fft=1024)
+    assert point.metric == sine_report(set_param(config, "ota.gbw", 800e6), 1024)[0].enob
 
 
 # --- sweep ---------------------------------------------------------------------

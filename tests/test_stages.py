@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pipeadc import (ClockParams, OtaParams, StageParams, comparator_diff, degraded_config,
-                     flash2b, mdac_residue, settle_coefficients, sub_adc_decide)
+from pipeadc import (ClockParams, OtaParams, StageParams, degraded_config, flash2b,
+                     mdac_residue, set_param, settle_coefficients, sub_adc_decide)
 from pipeadc.config import ShaParams, db_to_gain
-from pipeadc.stages import settle_value
+from pipeadc.stages import comparator_diff, settle_value
 
 VREF = 0.6
 IDEAL_STAGE = StageParams()
@@ -203,7 +203,12 @@ def test_comparators_equal_switched_capacitor_form(vref, offs, far, steps):
 
 def test_comparator_arrays_equal_scalar_calls():
     rng = np.random.default_rng(6)
-    cfg = degraded_config(seed=3, offset_sigma=0.05)
+    # comparator offsets ten times the degraded preset's sigma
+    keys = [f"stages[{i}].cmp_offset_{side}" for i in range(6) for side in ("hi", "lo")]
+    keys += [f"flash_offsets[{j}]" for j in range(3)]
+    cfg = degraded_config(seed=3)
+    for key, offset in zip(keys, np.random.default_rng(3).normal(0.0, 0.05, len(keys)).tolist()):
+        cfg = set_param(cfg, key, offset)
     u = np.concatenate([rng.uniform(-2 * VREF, 2 * VREF, 5000), [0.0, -0.0, VREF / 4, -VREF / 4]])
     for stage in cfg.stages:
         got = sub_adc_decide(u, stage, VREF)
