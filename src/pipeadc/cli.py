@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -24,8 +23,6 @@ from .metrics import coherent_frequency, ramp_linearity, sndr_sfdr_enob, spectru
 from .solver import (ERR_FRACTION, SWEEP_METRICS, min_dc_gain, min_gbw, ramp_report,
                      sine_report, sweep)
 from .waveforms import KINDS, Waveform, generate
-
-OUT_DIR_ENV = "PIPEADC_OUT_DIR"
 
 
 def _resolve_config(args):
@@ -44,8 +41,7 @@ def _resolve_config(args):
 
 
 def _out_dir(args) -> Path:
-    out = args.out or os.environ.get(OUT_DIR_ENV) or "."
-    path = Path(out)
+    path = Path(args.out or ".")
     path.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -56,21 +52,16 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=None,
                         help="mismatch draw of the degraded preset (default: 0)")
     parser.add_argument("--out", default=None,
-                        help=f"output directory (default: ${OUT_DIR_ENV} or the cwd)")
+                        help="output directory (default: the cwd)")
 
 
 def _cmd_simulate(args) -> int:
     config = _resolve_config(args)
-    vref = config.reference.vref
-    fs = config.clock.fs
-    amplitude = vref if args.amplitude is None else args.amplitude
-    if args.waveform == "sine":
-        freq, _ = coherent_frequency(fs, 4096, fs / 16.0)
-        wave = Waveform(kind="sine", length=args.length, amplitude=amplitude, frequency=freq)
-    elif args.waveform in ("ramp", "pulse"):
-        wave = Waveform(kind=args.waveform, length=args.length, v_low=-vref, v_high=vref)
-    else:
-        wave = Waveform(kind="dc", length=args.length, amplitude=amplitude)
+    vref, fs = config.reference.vref, config.clock.fs
+    # generate reads only the fields of its kind
+    wave = Waveform(kind=args.waveform, length=args.length,
+                    amplitude=vref if args.amplitude is None else args.amplitude,
+                    frequency=coherent_frequency(fs, 4096, fs / 16.0)[0], v_low=-vref, v_high=vref)
     samples = generate(wave, config.clock)
     engine = PipelineEngine(config)
     result = engine.simulate(samples, record_residues=args.trace)

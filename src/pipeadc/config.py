@@ -287,7 +287,7 @@ def with_mismatch(base: AdcConfig, seed: int) -> AdcConfig:
     Gaussian draws from ``np.random.default_rng(seed)``: gain and DAC mismatch
     per stage (GAIN_SIGMA, DAC_SIGMA), both comparator offsets per stage and
     the three flash threshold offsets (OFFSET_SIGMA). The same (base, seed)
-    always yields the same config.
+    always yields the same config; the engine that converts it validates it.
     """
     rng = np.random.default_rng(seed)
     # one draw in stage order (gain, dac, hi, lo), then the flash offsets:
@@ -300,7 +300,7 @@ def with_mismatch(base: AdcConfig, seed: int) -> AdcConfig:
         stages.append(replace(st, gain_mismatch=gain, dac_mismatch=dac,
                               cmp_offset_hi=hi, cmp_offset_lo=lo))
     flash = tuple(draws[len(sigmas):])
-    return validate(replace(base, stages=tuple(stages), flash_offsets=flash))
+    return replace(base, stages=tuple(stages), flash_offsets=flash)
 
 
 # ---------------------------------------------------------------------------

@@ -39,8 +39,8 @@ are final and later sweeps recompute only the suffix. A group still
 unconverged from sample s on after ``MAX_SWEEPS`` sweeps is finished from s
 one sample at a time on its own (``_step``); the groups after it still
 relax over the whole block. The laws are written once, ``sub_adc_decide``,
-``mdac_residue``, ``flash2b`` and ``settle_value``, and the sweeps call
-them on arrays, the group stepper on floats.
+``mdac_residue``, ``flash2b`` and ``settle_value``; the sweeps call them on
+arrays and the group stepper on floats, with thresholds derived once per engine.
 """
 
 from __future__ import annotations
@@ -51,8 +51,8 @@ import numpy as np
 
 from .config import AdcConfig, N_STAGES, validate
 # comparator_diff is not called here; bench/tracer.py patches it in this module
-from .stages import (comparator_diff, flash2b, mdac_residue, settle_coefficients,  # noqa: F401
-                     settle_value, sub_adc_decide)
+from .stages import (comparator_diff, flash2b, flash_thresholds, mdac_residue,  # noqa: F401
+                     settle_coefficients, settle_value, sub_adc_decide, sub_adc_thresholds)
 
 # SHA, six stages, flash: seven one-sample hops from input to a complete code.
 PIPELINE_LATENCY_SAMPLES = 7
@@ -65,10 +65,10 @@ BLOCK_SAMPLES = 16384
 
 # Sweeps one amplifier group may take in a block before ``_step`` finishes
 # the group. A stage pair's sweep over a full block costs about as much as
-# stepping that pair over 190 samples, so a group that stalls costs at most
-# about 1.75x stepping it outright; the degraded preset converges within the
-# cap at every k_mem <= 1 from 250 MHz GBW up, and at k_mem <= 0.5 from
-# 100 MHz up.
+# stepping that pair over 51-56 samples (0.18-0.21 ms against 3.4-4.0 us a
+# sample on a 2-core Xeon), so a group that stalls costs at most about 1.2x
+# stepping it outright; the degraded preset converges within the cap at
+# every k_mem <= 1 from 250 MHz GBW up, and at k_mem <= 0.5 from 100 MHz up.
 MAX_SWEEPS = 64
 
 # Largest accepted |input| in units of vref. With |gain_mismatch| < 0.5,
@@ -112,11 +112,12 @@ class SettleRow:
 
 
 class PipelineEngine:
-    """Compiled form of one AdcConfig: per-amplifier settling coefficients and memory wiring.
+    """Compiled form of one AdcConfig: comparator thresholds, settling coefficients, wiring.
 
     The engine is immutable after construction and keeps no run state, so
     one engine can serve many runs. Per-amplifier lists are indexed by
-    channel: 0 is the SHA, k is stage k.
+    channel: 0 is the SHA, k is stage k; the comparator thresholds ``_thr``
+    by stage, stage k's (hi, lo) at k - 1.
     """
 
     def __init__(self, config: AdcConfig):
@@ -126,6 +127,8 @@ class PipelineEngine:
         otas = [c.sha.ota] + [st.ota for st in c.stages]
         self._g, self._e = zip(*(settle_coefficients(o, c.clock.t_settle) for o in otas))
         self._kmem = [o.k_mem for o in otas]
+        self._thr = [sub_adc_thresholds(st, self.vref) for st in c.stages]
+        self._flash_thr = flash_thresholds(c.flash_offsets, self.vref)
         self._memoryless = c.clock.reset_enabled or all(k == 0.0 for k in self._kmem)
         # channel -> (channel whose output sets its v_init, same sample?): the
         # first stage on an amplifier inherits its partner's output of the
@@ -213,7 +216,7 @@ class PipelineEngine:
             if start < n:
                 self._step(group, target, start, decisions, cols)
                 stepped += n - start
-        flash[:] = flash2b(cols[N_STAGES, :n], self.config.flash_offsets, self.vref)
+        flash[:] = flash2b(cols[N_STAGES, :n], self._flash_thr)
         return most, stepped
 
     def _sweep(self, group: range, target: np.ndarray, start: int, decisions: np.ndarray,
@@ -236,10 +239,9 @@ class PipelineEngine:
 
     def _target(self, k: int, u: np.ndarray, decisions: np.ndarray) -> np.ndarray:
         """Stage k's MDAC target for inputs u; stores its decisions in decisions[:, k - 1]."""
-        st = self.config.stages[k - 1]
-        d = sub_adc_decide(u, st, self.vref)
+        d = sub_adc_decide(u, *self._thr[k - 1])
         decisions[:, k - 1] = d
-        return mdac_residue(u, d, st, self.vref)
+        return mdac_residue(u, d, self.config.stages[k - 1], self.vref)
 
     def _amplify(self, ch: int, target: np.ndarray, start: int, cols: np.ndarray,
                  first: int) -> int:
@@ -279,10 +281,10 @@ class PipelineEngine:
                 if ch == group[0]:
                     t = targets[i]
                 else:
-                    u, st = rows[ch - 1][i], self.config.stages[ch - 1]
-                    d = sub_adc_decide(u, st, self.vref)
+                    u = rows[ch - 1][i]
+                    d = sub_adc_decide(u, *self._thr[ch - 1])
                     digits[ch].append(d)
-                    t = mdac_residue(u, d, st, self.vref)
+                    t = mdac_residue(u, d, self.config.stages[ch - 1], self.vref)
                 src, same_step = self._mem_src[ch]
                 prev_out = rows[src][i + 1 if same_step else i]
                 rows[ch][i + 1] = settle_value(t, self._kmem[ch] * prev_out, self._g[ch],

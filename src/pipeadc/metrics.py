@@ -57,7 +57,6 @@ class SpectrumData:
     bin_power: np.ndarray
     freqs: np.ndarray
     n_fft: int
-    fs: float
 
 
 @dataclass(frozen=True)
@@ -139,7 +138,7 @@ def spectrum(stream: CodeStream, n_fft: int) -> SpectrumData:
     power[1:n_fft // 2] *= 2.0
     power /= float(n_fft) ** 2
     freqs = np.arange(n_fft // 2 + 1) * (stream.fs / n_fft)
-    return SpectrumData(bin_power=power, freqs=freqs, n_fft=n_fft, fs=stream.fs)
+    return SpectrumData(bin_power=power, freqs=freqs, n_fft=n_fft)
 
 
 def sndr_sfdr_enob(data: SpectrumData, signal_bin: int) -> SpectrumReport:

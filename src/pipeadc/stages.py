@@ -3,9 +3,11 @@
 Everything here is a pure function of its arguments; the pipeline engine owns
 all state. Every law works elementwise on floats and numpy arrays alike, and
 every engine path calls it, so each is written once. A comparator trips when
-its input exceeds the real sum threshold + offset: the input is compared with
-the smallest float on the far side of that sum, which makes the comparison
-exact for every float input and offset.
+its input exceeds the real sum threshold + offset: ``sub_adc_thresholds`` and
+``flash_thresholds`` turn each sum into the smallest float on its far side,
+once per config, and ``sub_adc_decide`` and ``flash2b`` compare the input
+with those floats, which makes the comparison exact for every float input
+and offset.
 """
 
 from __future__ import annotations
@@ -80,16 +82,21 @@ def _flag(hit):
     return hit.view(np.int8) if isinstance(hit, np.ndarray) else int(hit)
 
 
-def sub_adc_decide(vin, stage: StageParams, vref: float):
-    """Ternary 1.5-bit decision: thresholds +-vref/4 shifted by the comparator offsets.
+def sub_adc_thresholds(stage: StageParams, vref: float) -> tuple[float, float]:
+    """The 1.5-bit comparators' thresholds (hi, lo): +-vref/4 shifted by the offsets.
 
-    d = +1 when vin > vref/4 + cmp_offset_hi, else -1 when
-    vin < cmp_offset_lo - vref/4, else 0: an exact tie gives 0, and when
-    offsets make the thresholds cross, +1 wins. Elementwise on arrays (int8).
+    hi is the smallest float above vref/4 + cmp_offset_hi, lo the smallest
+    float at or above cmp_offset_lo - vref/4, both sums taken exactly, so a
+    tie at either real threshold decides 0. When offsets make the thresholds
+    cross, lo is clamped to hi, so +1 wins.
     """
     q = 0.25 * vref
     hi = _above(q, stage.cmp_offset_hi, True)
-    lo = min(_above(stage.cmp_offset_lo, -q, False), hi)
+    return hi, min(_above(stage.cmp_offset_lo, -q, False), hi)
+
+
+def sub_adc_decide(vin, hi: float, lo: float):
+    """Ternary 1.5-bit decision: +1 from hi up, else -1 below lo, else 0 (int8 on arrays)."""
     return _flag(vin >= hi) - _flag(vin < lo)
 
 
@@ -105,14 +112,12 @@ def mdac_residue(vin, d, stage: StageParams, vref: float):
     return out
 
 
-def flash2b(vin, offsets, vref: float):
-    """2-bit thermometer decision against {-vref/2, 0, +vref/2} plus per-threshold offsets.
+def flash_thresholds(offsets, vref: float) -> tuple[float, float, float]:
+    """The smallest floats above {-vref/2, 0, +vref/2} plus offsets: a tie takes the lower code."""
+    return tuple(_above(level * vref, off, True) for level, off in zip((-0.5, 0.0, 0.5), offsets))
 
-    Returns the count of thresholds thr + offset strictly exceeded, in {0..3};
-    an exact tie does not count, so boundary inputs take the lower code.
-    Elementwise on arrays (int8).
-    """
-    off_lo, off_mid, off_hi = offsets
-    return (_flag(vin >= _above(-0.5 * vref, off_lo, True))
-            + _flag(vin >= _above(0.0, off_mid, True))
-            + _flag(vin >= _above(0.5 * vref, off_hi, True)))
+
+def flash2b(vin, thresholds):
+    """2-bit flash code: how many of ``flash_thresholds`` vin reaches, 0..3 (int8 on arrays)."""
+    t_lo, t_mid, t_hi = thresholds
+    return _flag(vin >= t_lo) + _flag(vin >= t_mid) + _flag(vin >= t_hi)

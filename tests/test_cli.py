@@ -6,7 +6,8 @@ from pathlib import Path
 import pytest
 
 import pipeadc
-from pipeadc import default_config, save_config
+from pipeadc import (PipelineEngine, Waveform, coherent_frequency, correct_result,
+                     default_config, degraded_config, generate, save_config)
 from pipeadc.cli import run_subcommand
 
 
@@ -61,6 +62,26 @@ def test_simulate_emits_codes_csv(tmp_path, capsys):
     assert lines[20].split(",")[1] == "181"
     assert lines[1].split(",")[2] == "1"  # warm-up flagged
     assert lines[10].split(",")[2] == "0"
+
+
+@pytest.mark.parametrize("kind", ["sine", "ramp", "pulse", "dc"])
+def test_simulate_converts_the_stimulus_of_its_kind(tmp_path, capsys, kind):
+    # the chain built by hand: the sine is the coherent tone nearest fs/16 of
+    # a 4096 record and the dc level is --amplitude; ramp and pulse ignore
+    # --amplitude and span -vref to +vref
+    config = degraded_config(seed=3)
+    vref, fs = config.reference.vref, config.clock.fs
+    wave = {"sine": Waveform("sine", 300, amplitude=0.3,
+                             frequency=coherent_frequency(fs, 4096, fs / 16.0)[0]),
+            "ramp": Waveform("ramp", 300, v_low=-vref, v_high=vref),
+            "pulse": Waveform("pulse", 300, v_low=-vref, v_high=vref),
+            "dc": Waveform("dc", 300, amplitude=0.3)}[kind]
+    want = correct_result(PipelineEngine(config).simulate(generate(wave, config.clock))).codes
+    status, _, _ = run(["simulate", "--config", "degraded", "--seed", "3", "--waveform", kind,
+                        "--length", "300", "--amplitude", "0.3", "--out", str(tmp_path)], capsys)
+    assert status == 0
+    rows = (tmp_path / "codes.csv").read_text().splitlines()[1:]
+    assert [int(row.split(",")[1]) for row in rows] == want.tolist()
 
 
 def test_simulate_trace_dump(tmp_path, capsys):
@@ -211,10 +232,3 @@ def test_byte_identical_reruns(tmp_path, capsys):
     assert (a / "linearity.csv").read_bytes() == (b / "linearity.csv").read_bytes()
     assert (a / "linearity.gp").read_bytes() == (b / "linearity.gp").read_bytes()
 
-
-def test_out_dir_env_variable(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("PIPEADC_OUT_DIR", str(tmp_path / "envout"))
-    status, _, _ = run(["simulate", "--config", "ideal", "--waveform", "dc",
-                        "--length", "16"], capsys)
-    assert status == 0
-    assert (tmp_path / "envout" / "codes.csv").exists()

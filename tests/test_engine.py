@@ -9,9 +9,10 @@ from hypothesis.extra.numpy import arrays
 from pipeadc import (ConfigError, PIPELINE_LATENCY_SAMPLES, PipelineEngine, StageParams,
                      Waveform, default_config, degraded_config, digitize, flash2b, generate,
                      ideal_config, settle_report, settling_fit_config, sub_adc_decide, validate)
-from pipeadc import engine
+from pipeadc import engine, stages
 from pipeadc.config import config_to_text, set_param
 from pipeadc.engine import MAX_SWEEPS
+from pipeadc.stages import flash_thresholds, sub_adc_thresholds
 
 from oracle import stepped
 
@@ -334,6 +335,11 @@ def probe_points(thresholds):
     return np.concatenate([pts, np.linspace(-2 * VREF, 2 * VREF, 20001)])
 
 
+def assert_strict_threshold(x, t):
+    """x is the smallest float above the real threshold t."""
+    assert Fraction(x) > t >= Fraction(np.nextafter(x, -np.inf))
+
+
 # Exact oracle: the comparator laws compare the input with the real sum
 # threshold + offset, evaluated here in rational arithmetic.
 @pytest.mark.parametrize("hi,lo,levels", [
@@ -351,15 +357,19 @@ def probe_points(thresholds):
     (-1e308, 1e308, None),  # +1 from the most negative floats up
 ])
 def test_stage_thresholds_match_sub_adc_decide(hi, lo, levels):
-    stage = StageParams(cmp_offset_hi=hi, cmp_offset_lo=lo)
     q = Fraction(0.25 * VREF)
     t_hi, t_lo = q + Fraction(hi), Fraction(lo) - q
+    thr_hi, thr_lo = sub_adc_thresholds(StageParams(cmp_offset_hi=hi, cmp_offset_lo=lo), VREF)
+    assert_strict_threshold(thr_hi, t_hi)
+    # lo is the smallest float at or above t_lo, unless crossing clamps it to hi
+    assert ((thr_lo == thr_hi and Fraction(thr_hi) < t_lo)
+            or Fraction(thr_lo) >= t_lo > Fraction(np.nextafter(thr_lo, -np.inf)))
     u = probe_points((t_hi, t_lo))
     want = [1 if Fraction(x) > t_hi else -1 if Fraction(x) < t_lo else 0 for x in u.tolist()]
-    got = sub_adc_decide(u, stage, VREF)
+    got = sub_adc_decide(u, thr_hi, thr_lo)
     assert got.dtype == np.int8
     assert got.tolist() == want
-    assert [sub_adc_decide(x, stage, VREF) for x in u.tolist()] == want
+    assert [sub_adc_decide(x, thr_hi, thr_lo) for x in u.tolist()] == want
     if levels is not None:
         want = np.array(want)
         assert (u[want >= 0].min(), u[want == 1].min()) == levels
@@ -376,12 +386,29 @@ def test_stage_thresholds_match_sub_adc_decide(hi, lo, levels):
 def test_flash_thresholds_match_flash2b(offsets):
     thresholds = [Fraction(thr) + Fraction(off)
                   for thr, off in zip((-0.5 * VREF, 0.0, 0.5 * VREF), offsets)]
+    derived = flash_thresholds(offsets, VREF)
+    for x, t in zip(derived, thresholds):
+        assert_strict_threshold(x, t)
     u = probe_points(thresholds)
     want = [sum(Fraction(x) > t for t in thresholds) for x in u.tolist()]
-    got = flash2b(u, offsets, VREF)
+    got = flash2b(u, derived)
     assert got.dtype == np.int8
     assert got.tolist() == want
-    assert [flash2b(x, offsets, VREF) for x in u.tolist()] == want
+    assert [flash2b(x, derived) for x in u.tolist()] == want
+
+
+def test_thresholds_derived_once_per_engine(monkeypatch):
+    # 15 thresholds (hi and lo of six stages, three in the flash) come from
+    # the config alone, so the engine derives each once, at construction,
+    # however many samples its sweeps compare or ``_step`` steps.
+    calls = []
+    above = stages._above
+    monkeypatch.setattr(stages, "_above", lambda *a: calls.append(a) or above(*a))
+    eng = PipelineEngine(memory_config(seed=0, k_mem=1.0, gbw=100e6))
+    assert len(calls) == 15
+    result = eng.simulate(0.9 * VREF * np.sin(np.arange(20000) * 0.2))
+    assert result.sweeps == MAX_SWEEPS and result.stepped_samples > 0
+    assert len(calls) == 15
 
 
 def test_full_swing_step_tracks_published_chain():

@@ -172,7 +172,7 @@ def test_degenerate_spectrum_caps_at_200db():
     power[m] = 1.0
     from pipeadc.metrics import SpectrumData
     data = SpectrumData(bin_power=power, freqs=np.arange(n_fft // 2 + 1) * FS / n_fft,
-                        n_fft=n_fft, fs=FS)
+                        n_fft=n_fft)
     rep = sndr_sfdr_enob(data, m)
     assert rep.sndr_db == 200.0
     assert rep.sfdr_db == 200.0
@@ -189,7 +189,7 @@ def test_sndr_sfdr_leave_out_dc_and_one_bin_each_side_of_the_signal():
     power[90] = 1e-5
     from pipeadc.metrics import SpectrumData
     data = SpectrumData(bin_power=power, freqs=np.arange(n_fft // 2 + 1) * FS / n_fft,
-                        n_fft=n_fft, fs=FS)
+                        n_fft=n_fft)
     rep = sndr_sfdr_enob(data, m)
     assert rep.sndr_db == pytest.approx(10.0 * math.log10(1.0 / 2.1e-4), rel=1e-12)
     assert rep.sfdr_db == pytest.approx(40.0, rel=1e-12)

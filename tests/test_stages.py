@@ -8,10 +8,12 @@ from hypothesis import strategies as st
 from pipeadc import (ClockParams, OtaParams, StageParams, degraded_config, flash2b,
                      mdac_residue, set_param, settle_coefficients, sub_adc_decide)
 from pipeadc.config import ShaParams, db_to_gain
-from pipeadc.stages import comparator_diff, settle_value
+from pipeadc.stages import comparator_diff, flash_thresholds, settle_value, sub_adc_thresholds
 
 VREF = 0.6
 IDEAL_STAGE = StageParams()
+IDEAL_THR = sub_adc_thresholds(IDEAL_STAGE, VREF)
+ZERO_FLASH_THR = flash_thresholds((0.0, 0.0, 0.0), VREF)
 
 
 def settle(target, v_init, ota, t):
@@ -130,14 +132,14 @@ def test_comparator_diff_antisymmetry_exact():
 
 
 def test_decide_examples():
-    assert sub_adc_decide(0.0, IDEAL_STAGE, VREF) == 0
-    assert sub_adc_decide(0.3 * VREF, IDEAL_STAGE, VREF) == 1
-    assert sub_adc_decide(-0.3 * VREF, IDEAL_STAGE, VREF) == -1
+    assert sub_adc_decide(0.0, *IDEAL_THR) == 0
+    assert sub_adc_decide(0.3 * VREF, *IDEAL_THR) == 1
+    assert sub_adc_decide(-0.3 * VREF, *IDEAL_THR) == -1
 
 
 def test_decide_exact_ties_resolve_to_zero():
-    assert sub_adc_decide(VREF / 4.0, IDEAL_STAGE, VREF) == 0
-    assert sub_adc_decide(-VREF / 4.0, IDEAL_STAGE, VREF) == 0
+    assert sub_adc_decide(VREF / 4.0, *IDEAL_THR) == 0
+    assert sub_adc_decide(-VREF / 4.0, *IDEAL_THR) == 0
 
 
 def test_decide_matches_plain_threshold_oracle():
@@ -148,15 +150,16 @@ def test_decide_matches_plain_threshold_oracle():
     for stage in stages:
         thr_hi = VREF / 4.0 + stage.cmp_offset_hi
         thr_lo = -VREF / 4.0 + stage.cmp_offset_lo
+        hi, lo = sub_adc_thresholds(stage, VREF)
         for vin in rng.uniform(-VREF, VREF, 20000):
             want = 1 if vin > thr_hi else (-1 if vin < thr_lo else 0)
-            assert sub_adc_decide(vin, stage, VREF) == want
+            assert sub_adc_decide(vin, hi, lo) == want
 
 
 def test_decide_offsets_shift_thresholds():
-    stage = StageParams(cmp_offset_hi=0.05)
-    assert sub_adc_decide(VREF / 4.0 + 0.04, stage, VREF) == 0
-    assert sub_adc_decide(VREF / 4.0 + 0.06, stage, VREF) == 1
+    thr = sub_adc_thresholds(StageParams(cmp_offset_hi=0.05), VREF)
+    assert sub_adc_decide(VREF / 4.0 + 0.04, *thr) == 0
+    assert sub_adc_decide(VREF / 4.0 + 0.06, *thr) == 1
 
 
 def sc_sub_adc_decide(vin, stage, vref):
@@ -196,9 +199,10 @@ def test_comparators_equal_switched_capacitor_form(vref, offs, far, steps):
     q = 0.25 * vref
     near = [q + hi, lo - q] + [thr + off for thr, off in zip((-2 * q, 0.0, 2 * q), flash)]
     u = far + [ulp_steps(x, k) for x in near for k in steps]
+    thr, flash_thr = sub_adc_thresholds(stage, vref), flash_thresholds(flash, vref)
     for x in u:
-        assert sub_adc_decide(x, stage, vref) == sc_sub_adc_decide(x, stage, vref)
-        assert flash2b(x, flash, vref) == sc_flash2b(x, flash, vref)
+        assert sub_adc_decide(x, *thr) == sc_sub_adc_decide(x, stage, vref)
+        assert flash2b(x, flash_thr) == sc_flash2b(x, flash, vref)
 
 
 def test_comparator_arrays_equal_scalar_calls():
@@ -211,12 +215,14 @@ def test_comparator_arrays_equal_scalar_calls():
         cfg = set_param(cfg, key, offset)
     u = np.concatenate([rng.uniform(-2 * VREF, 2 * VREF, 5000), [0.0, -0.0, VREF / 4, -VREF / 4]])
     for stage in cfg.stages:
-        got = sub_adc_decide(u, stage, VREF)
+        thr = sub_adc_thresholds(stage, VREF)
+        got = sub_adc_decide(u, *thr)
         assert got.dtype == np.int8
-        assert got.tolist() == [sub_adc_decide(x, stage, VREF) for x in u.tolist()]
-    got = flash2b(u, cfg.flash_offsets, VREF)
+        assert got.tolist() == [sub_adc_decide(x, *thr) for x in u.tolist()]
+    flash_thr = flash_thresholds(cfg.flash_offsets, VREF)
+    got = flash2b(u, flash_thr)
     assert got.dtype == np.int8
-    assert got.tolist() == [flash2b(x, cfg.flash_offsets, VREF) for x in u.tolist()]
+    assert got.tolist() == [flash2b(x, flash_thr) for x in u.tolist()]
 
 
 # --- residue -----------------------------------------------------------------
@@ -277,7 +283,7 @@ def test_residue_bounded_with_ideal_decisions():
     # brute-force sweep: |r| <= vref whenever d comes from the ideal sub-ADC
     v = np.linspace(-VREF, VREF, 100001)
     for vin in v:
-        d = sub_adc_decide(vin, IDEAL_STAGE, VREF)
+        d = sub_adc_decide(vin, *IDEAL_THR)
         r = mdac_residue(vin, d, IDEAL_STAGE, VREF)
         assert abs(r) <= VREF + 1e-12
 
@@ -286,20 +292,18 @@ def test_residue_bounded_with_ideal_decisions():
 
 
 def test_flash_examples():
-    zeros = (0.0, 0.0, 0.0)
-    assert flash2b(-VREF, zeros, VREF) == 0
-    assert flash2b(VREF, zeros, VREF) == 3
-    assert flash2b(0.1 * VREF, zeros, VREF) == 2
+    assert flash2b(-VREF, ZERO_FLASH_THR) == 0
+    assert flash2b(VREF, ZERO_FLASH_THR) == 3
+    assert flash2b(0.1 * VREF, ZERO_FLASH_THR) == 2
 
 
 def test_flash_tie_takes_lower_code():
-    zeros = (0.0, 0.0, 0.0)
-    assert flash2b(0.0, zeros, VREF) == 1
-    assert flash2b(-VREF / 2.0, zeros, VREF) == 0
-    assert flash2b(VREF / 2.0, zeros, VREF) == 2
+    assert flash2b(0.0, ZERO_FLASH_THR) == 1
+    assert flash2b(-VREF / 2.0, ZERO_FLASH_THR) == 0
+    assert flash2b(VREF / 2.0, ZERO_FLASH_THR) == 2
 
 
 def test_flash_offsets_move_thresholds():
-    offs = (0.0, 0.05, 0.0)
-    assert flash2b(0.04, offs, VREF) == 1
-    assert flash2b(0.06, offs, VREF) == 2
+    thr = flash_thresholds((0.0, 0.05, 0.0), VREF)
+    assert flash2b(0.04, thr) == 1
+    assert flash2b(0.06, thr) == 2
