@@ -23,15 +23,14 @@ Blocks and relaxation
 ---------------------
 ``simulate`` runs the chain in blocks of ``BLOCK_SAMPLES`` samples; a block
 starts from the residues the previous block settled last, which are also
-what every amplifier last put out. With memory the channels relax in
-amplifier groups, {SHA}, {1,2}, {3,4}, {5,6}; a memoryless chain is one
-group. Groups run in chain order, so a group's input is final and its
-first stage decides once per block (waveform relaxation, Lelarasmee,
-Ruehli & Sangiovanni-Vincentelli, IEEE TCAD 1(3), 1982). The second stage
-on an amplifier takes its v_init from its partner's output in the same
-sweep, the SHA and the first stage on each amplifier theirs from the
-previous sweep, one sample earlier; a group repeats its array sweep until
-none of its residues changes a bit (once when memoryless). A bitwise fixed
+what every amplifier last put out. The channels relax in amplifier
+groups, {SHA}, {1,2}, {3,4}, {5,6}, in chain order, so a group's input is
+final and its first stage decides once per block (waveform relaxation,
+Lelarasmee, Ruehli & Sangiovanni-Vincentelli, IEEE TCAD 1(3), 1982). The
+second stage on an amplifier takes its v_init from its partner's output in
+the same sweep, the SHA and the first stage on each amplifier theirs from
+the previous sweep, one sample earlier; a group repeats its array sweep
+until none of its residues changes a bit (once when memoryless). A bitwise fixed
 point satisfies each per-sample equation and, by induction on the sample
 index, is the sequential result. A sample only depends on earlier samples
 of the previous sweep, so the samples before the first one that changed
@@ -130,16 +129,14 @@ class PipelineEngine:
         self._thr = [sub_adc_thresholds(st, self.vref) for st in c.stages]
         self._flash_thr = flash_thresholds(c.flash_offsets, self.vref)
         self._memoryless = c.clock.reset_enabled or all(k == 0.0 for k in self._kmem)
-        # channel -> (channel whose output sets its v_init, same sample?): the
-        # first stage on an amplifier inherits its partner's output of the
-        # sample before, the second its partner's of the same sample
-        self._mem_src = {0: (0, False), 1: (2, False), 2: (1, True), 3: (4, False),
-                         4: (3, True), 5: (6, False), 6: (5, True)}
-        # Relaxation groups in chain order: one per amplifier with memory, as
-        # no amplifier feeds an earlier one; a memoryless chain converges in
-        # one sweep, so it is one group.
-        self._groups = ([range(N_STAGES + 1)] if self._memoryless
-                        else [range(0, 1), range(1, 3), range(3, 5), range(5, 7)])
+        # The amplifier sharing, stated once: one relaxation group per
+        # amplifier, in chain order, as no amplifier feeds an earlier one.
+        self._groups = [range(0, 1), range(1, 3), range(3, 5), range(5, 7)]
+        # channel -> (channel whose output sets its v_init, same sample?): a
+        # group's first channel inherits its last channel's output of the
+        # sample before, every other channel its predecessor's of the same one
+        self._mem_src = {ch: (ch - 1, True) if ch > g[0] else (g[-1], False)
+                         for g in self._groups for ch in g}
 
     # -- batch driver ----------------------------------------------------------
 
@@ -148,17 +145,17 @@ class PipelineEngine:
 
         Bit-identical to stepping sample by sample. The waveform runs in
         blocks of ``BLOCK_SAMPLES``, relaxed one amplifier group at a time.
-        Without memory (reset enabled, or every k_mem zero) the chain is one
-        group and takes one array sweep; with it a group repeats its sweep
-        until its residues reach a bitwise fixed point, and ``_step``
-        finishes what a group left unconverged after ``MAX_SWEEPS`` sweeps.
+        Without memory (reset enabled, or every k_mem zero) each group takes
+        one array sweep; with it a group repeats its sweep until its
+        residues reach a bitwise fixed point, and ``_step`` finishes what a
+        group left unconverged after ``MAX_SWEEPS`` sweeps.
         Raises, naming the first bad sample, on non-finite input, input
         beyond ``INPUT_LIMIT_VREF`` times vref, and residues that overflow to
         non-finite values.
         """
         v = np.asarray(waveform, dtype=np.float64)
         if v.ndim != 1 or v.size == 0:
-            raise ValueError("empty waveform")
+            raise ValueError(f"waveform must be a non-empty 1-D array, got shape {v.shape}")
         limit = INPUT_LIMIT_VREF * self.vref
         if not (-limit <= v.min() and v.max() <= limit):
             i = np.flatnonzero(~(np.abs(v) <= limit))[0]

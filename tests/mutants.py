@@ -1,0 +1,121 @@
+"""Mutation gate: one-token changes to the program that a named test file must catch.
+
+Each row of ``MUTANTS`` names a file, an exact string that occurs in it once,
+its replacement, and the test file that must then fail. For each row the
+runner applies the change to a temporary copy of ``src/``, ``tests/``,
+``pyproject.toml`` and ``README.md`` and runs ``pytest -x`` on the named
+file there. It exits non-zero when a mutant survives, when a row's string
+does not occur exactly once (a stale row), or when the unmutated copy
+already fails. ``EQUIVALENT`` lists the mutants no test can kill, with the
+reason; their strings are checked too, so neither table goes stale.
+
+Run it from any directory: ``python tests/mutants.py``. pytest does not
+collect this file. Mutation analysis: DeMillo, Lipton & Sayward, "Hints on
+test data selection", IEEE Computer 11(4), 1978.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+ENGINE = "src/pipeadc/engine.py"
+STAGES = "src/pipeadc/stages.py"
+METRICS = "src/pipeadc/metrics.py"
+CORRECTION = "src/pipeadc/correction.py"
+TEST_ENGINE = "tests/test_engine.py"
+
+MUTANTS = [
+    # (file, old, new, test file that must fail)
+    # the laws
+    (STAGES, "_flag(vin >= hi)", "_flag(vin > hi)", TEST_ENGINE),
+    (STAGES, "(strict and err == 0.0)", "(not strict and err == 0.0)", TEST_ENGINE),
+    (STAGES, "out = v_init - v_static\n    out *= e\n    out += v_static",
+     "out = e * v_init + (1.0 - e) * v_static", "tests/test_stages.py"),
+    # the wiring: the amplifier sharing and what each amplification starts from
+    (ENGINE, "(ch - 1, True)", "(ch - 1, False)", TEST_ENGINE),
+    (ENGINE, "range(1, 3)", "range(1, 2), range(2, 3)", TEST_ENGINE),
+    # the relaxation bookkeeping
+    (ENGINE, "MAX_SWEEPS = 64", "MAX_SWEEPS = 2", TEST_ENGINE),
+    (ENGINE, "first = min(first, start + i)", "first = min(first, start + i + 1)", TEST_ENGINE),
+    # the correction and the measurements
+    (CORRECTION, "np.clip(acc, 0, 255, out=acc)", "np.clip(acc, 0, 256, out=acc)",
+     "tests/test_correction.py"),
+    (METRICS, "last = FULL_SCALE_CODES - 2", "last = FULL_SCALE_CODES - 3",
+     "tests/test_metrics.py"),
+    (METRICS, "SIGNAL_GUARD_BINS = 1", "SIGNAL_GUARD_BINS = 2", "tests/test_metrics.py"),
+    # a capture's DC bin holds only rounding, as the record is mean-removed;
+    # the known-answer spectrum puts power there
+    (METRICS, "mask[0] = False", "mask[0] = True", "tests/test_metrics.py"),
+]
+
+EQUIVALENT = [
+    # (file, old, new, why no test can tell them apart)
+    (STAGES, "d * ((1.0 + stage.dac_mismatch) * vref)", "(d * (1.0 + stage.dac_mismatch)) * vref",
+     "d is -1, 0 or +1, so either grouping of the DAC product is exact"),
+]
+
+
+# A mutant only has to fail: shrinking its failing example can take minutes
+# and shows nothing here, so the copy's hypothesis tests stop at the first.
+CONFTEST = """from hypothesis import Phase, settings
+settings.register_profile("mutants", phases=[Phase.explicit, Phase.reuse, Phase.generate])
+settings.load_profile("mutants")
+"""
+
+
+def _pytest(tmp: Path, *test_files: str) -> subprocess.CompletedProcess:
+    # no bytecode: a restored file may keep the size and mtime of its mutant;
+    # no hypothesis database: no run replays another run's failing examples
+    shutil.rmtree(tmp / ".hypothesis", ignore_errors=True)
+    env = dict(os.environ, PYTHONPATH=str(tmp / "src"), PYTHONDONTWRITEBYTECODE="1")
+    return subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+                           *test_files], cwd=tmp, env=env, capture_output=True, text=True)
+
+
+def main() -> int:
+    failures = []
+    with tempfile.TemporaryDirectory() as d:
+        tmp = Path(d)
+        for name in ("src", "tests"):
+            shutil.copytree(ROOT / name, tmp / name,
+                            ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
+        for name in ("pyproject.toml", "README.md"):  # a config test parses README's example
+            shutil.copy2(ROOT / name, tmp)
+        (tmp / "conftest.py").write_text(CONFTEST)
+        originals = {path: (tmp / path).read_text() for path, *_ in MUTANTS + EQUIVALENT}
+        for path, old, new, _ in MUTANTS + EQUIVALENT:
+            if originals[path].count(old) != 1:
+                failures.append(f"stale row: {old!r} occurs {originals[path].count(old)} "
+                                f"times in {path}")
+        if failures:
+            print("\n".join(failures))
+            return 1
+        run = _pytest(tmp, *sorted({row[3] for row in MUTANTS}))
+        if run.returncode != 0:
+            print(run.stdout[-2000:])
+            print("the unmutated copy fails its tests")
+            return 1
+        for path, old, new, test_file in MUTANTS:
+            (tmp / path).write_text(originals[path].replace(old, new))
+            t0 = time.perf_counter()
+            run = _pytest(tmp, test_file)
+            (tmp / path).write_text(originals[path])
+            status = {0: "SURVIVED", 1: "killed"}.get(run.returncode, f"exit {run.returncode}")
+            print(f"{status:8} {time.perf_counter() - t0:5.1f} s  {path}: {old!r} -> {new!r}",
+                  flush=True)
+            if run.returncode != 1:
+                print(run.stdout[-2000:])
+                failures.append(f"{status}: {path}: {old!r} -> {new!r} ({test_file})")
+        for path, old, new, why in EQUIVALENT:
+            print(f"{'equiv':8} {'':7}  {path}: {old!r} -> {new!r}: {why}")
+    print("\n".join(failures) or f"all {len(MUTANTS)} mutants killed")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +11,7 @@ from pipeadc import (ConfigError, PIPELINE_LATENCY_SAMPLES, PipelineEngine, Stag
                      Waveform, default_config, degraded_config, digitize, flash2b, generate,
                      ideal_config, settle_report, settling_fit_config, sub_adc_decide, validate)
 from pipeadc import engine, stages
-from pipeadc.config import config_to_text, set_param
+from pipeadc.config import PRESETS, config_to_text, preset_config, set_param
 from pipeadc.engine import MAX_SWEEPS
 from pipeadc.stages import flash_thresholds, sub_adc_thresholds
 
@@ -47,9 +48,11 @@ def test_constant_zero_stream():
     assert np.all(r.flash[PIPELINE_LATENCY_SAMPLES:] == 1)
 
 
-def test_empty_waveform_rejected():
-    with pytest.raises(ValueError, match="empty"):
-        PipelineEngine(ideal_config()).simulate(np.array([]))
+@pytest.mark.parametrize("waveform,shape", [(np.zeros(0), "(0,)"), (np.zeros((2, 3)), "(2, 3)"),
+                                            (np.float64(0.1), "()")], ids=["empty", "2-d", "0-d"])
+def test_empty_waveform_rejected(waveform, shape):
+    with pytest.raises(ValueError, match=rf"empty 1-D array, got shape {re.escape(shape)}$"):
+        PipelineEngine(ideal_config()).simulate(waveform)
 
 
 @pytest.mark.parametrize("bad,index", [(float("nan"), 1), (float("inf"), 1), (-float("inf"), 3)])
@@ -202,15 +205,24 @@ def test_sweep_cap_in_an_early_group_leaves_later_groups_relaxing():
     assert_bit_identical(fast, stepped(cfg, wave))
 
 
-@pytest.mark.parametrize("reset,groups", [
-    (False, [[0], [1, 2], [3, 4], [5, 6]]),
-    (True, [[0, 1, 2, 3, 4, 5, 6]]),
-])
-def test_relaxation_groups(reset, groups):
-    # With memory the channels on one amplifier relax together. A memoryless
-    # chain converges in one sweep however it is split, so it is one group.
+@pytest.mark.parametrize("reset", [False, True])
+def test_relaxation_groups(reset):
+    # The channels on one amplifier relax together, with memory or without:
+    # the SHA has its own, stages (1,2), (3,4) and (5,6) share one each.
     cfg = set_param(memory_config(), "clock.reset_enabled", reset)
-    assert [list(g) for g in PipelineEngine(cfg)._groups] == groups
+    assert [list(g) for g in PipelineEngine(cfg)._groups] == [[0], [1, 2], [3, 4], [5, 6]]
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_memoryless_preset_takes_one_sweep_per_group(name, monkeypatch):
+    # every preset resets its amplifiers, so each group's one sweep is final;
+    # short blocks make the run cross block boundaries
+    monkeypatch.setattr(engine, "BLOCK_SAMPLES", 64)
+    cfg = preset_config(name)
+    wave = np.sin(np.linspace(0, 17, 300)) * VREF
+    fast = PipelineEngine(cfg).simulate(wave)
+    assert (fast.sweeps, fast.stepped_samples) == (1, 0)
+    assert_bit_identical(fast, stepped(cfg, wave))
 
 
 def test_overflowing_memory_run_matches_stepped(monkeypatch):
