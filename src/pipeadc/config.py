@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import re
 import typing
 from dataclasses import dataclass, field, fields, is_dataclass, replace
@@ -45,6 +46,18 @@ def gain_to_db(linear: float) -> float:
     return 20.0 * math.log10(linear)
 
 
+def _in(default, interval: str):
+    """A float field, or a tuple of floats, whose every value must lie in interval, e.g. "(0, 1]".
+
+    "(0, inf)" excludes inf, "[1, inf]" allows it, and NaN lies in none. The
+    bounds kept are closed: an open end moved one float inwards, so a check is lo <= x <= hi.
+    """
+    lo, hi = (float(end) for end in interval[1:-1].split(","))
+    lo = math.nextafter(lo, math.inf) if interval[0] == "(" else lo
+    hi = math.nextafter(hi, -math.inf) if interval[-1] == ")" else hi
+    return field(default=default, metadata={"in": (lo, hi, interval)})
+
+
 @dataclass(frozen=True)
 class ReferenceConfig:
     """Reference levels.
@@ -54,7 +67,7 @@ class ReferenceConfig:
     differential, so no common-mode level enters the arithmetic.
     """
 
-    vref: float = 0.6
+    vref: float = _in(0.6, "(0, inf)")
 
 
 @dataclass(frozen=True)
@@ -62,18 +75,18 @@ class OtaParams:
     """Behavioral amplifier: DC gain, gain-bandwidth product, feedback factor, memory.
 
     Params:
-        a0     - linear DC gain (dimensionless, >= 1; inf allowed for an ideal amp)
+        a0     - linear DC gain (dimensionless; inf for an ideal amp)
         gbw    - gain-bandwidth product [Hz]
-        beta   - feedback factor in hold mode, in (0, 1]; 0.5 is the nominal
+        beta   - feedback factor in hold mode; 0.5 is the nominal
                  flip-around multiply-by-2 value, 1.0 the unity-feedback hold
         k_mem  - fraction of the previous settled output left on the output
-                 node when the reset phase is disabled, in [0, 1]
+                 node when the reset phase is disabled
     """
 
-    a0: float = 17782.794100389227
-    gbw: float = 2.5e9
-    beta: float = 0.5
-    k_mem: float = 0.0
+    a0: float = _in(17782.794100389227, "[1, inf]")
+    gbw: float = _in(2.5e9, "(0, inf]")
+    beta: float = _in(0.5, "(0, 1]")
+    k_mem: float = _in(0.0, "[0, 1]")
 
 
 @dataclass(frozen=True)
@@ -82,11 +95,12 @@ class ClockParams:
 
     settle_fraction is the fraction of the sample period T = 1/fs left for
     residue settling after the non-overlap and reset slots are taken out; it
-    must lie in (0, 0.5] because amplification only ever gets one half-cycle.
+    is at most 0.5 because amplification only ever gets one half-cycle, and fs
+    is finite because T = 0 would leave no time to settle.
     """
 
-    fs: float = 166.6e6
-    settle_fraction: float = 0.387
+    fs: float = _in(166.6e6, "(0, inf)")
+    settle_fraction: float = _in(0.387, "(0, 0.5]")
     reset_enabled: bool = True
 
     @property
@@ -109,10 +123,10 @@ class StageParams:
     the two sub-ADC comparator thresholds (+vref/4 and -vref/4).
     """
 
-    gain_mismatch: float = 0.0
-    dac_mismatch: float = 0.0
-    cmp_offset_hi: float = 0.0
-    cmp_offset_lo: float = 0.0
+    gain_mismatch: float = _in(0.0, "(-0.5, 0.5)")
+    dac_mismatch: float = _in(0.0, "(-0.5, 0.5)")
+    cmp_offset_hi: float = _in(0.0, "(-inf, inf)")
+    cmp_offset_lo: float = _in(0.0, "(-inf, inf)")
     ota: OtaParams = OtaParams()
 
 
@@ -133,7 +147,7 @@ class AdcConfig:
     clock: ClockParams = ClockParams()
     sha: ShaParams = ShaParams()
     stages: tuple[StageParams, ...] = field(default_factory=_default_stages)
-    flash_offsets: tuple[float, float, float] = (0.0, 0.0, 0.0)
+    flash_offsets: tuple[float, float, float] = _in((0.0, 0.0, 0.0), "(-inf, inf)")
 
 
 @dataclass(frozen=True)
@@ -154,60 +168,57 @@ class CodeStream:
 # validation
 
 
-def _check(cond: bool, path: str, msg: str) -> None:
-    if not cond:
-        raise ConfigError(f"{path}: {msg}")
-
-
-def _check_type(node, kind: type, path: str) -> None:
-    _check(isinstance(node, kind), path, f"expected {kind.__name__}, got {type(node).__name__}")
-
-
-def _check_ota(o: OtaParams, path: str) -> None:
-    _check_type(o, OtaParams, path)
-    _check(not math.isnan(o.a0) and o.a0 >= 1.0, f"{path}.a0", "a0 must be >= 1")
-    _check(not math.isnan(o.gbw) and o.gbw > 0.0, f"{path}.gbw", "gbw must be positive")
-    _check(o.beta > 0.0, f"{path}.beta", "beta must be positive")
-    _check(o.beta <= 1.0, f"{path}.beta", "beta must be <= 1")
-    _check(0.0 <= o.k_mem <= 1.0, f"{path}.k_mem", "k_mem must be in [0, 1]")
-
-
-def _check_stage(s: StageParams, path: str) -> None:
-    _check_type(s, StageParams, path)
-    _check(abs(s.gain_mismatch) < 0.5, f"{path}.gain_mismatch", "|gain_mismatch| must be < 0.5")
-    _check(abs(s.dac_mismatch) < 0.5, f"{path}.dac_mismatch", "|dac_mismatch| must be < 0.5")
-    _check(math.isfinite(s.cmp_offset_hi), f"{path}.cmp_offset_hi", "offset must be finite")
-    _check(math.isfinite(s.cmp_offset_lo), f"{path}.cmp_offset_lo", "offset must be finite")
-    _check_ota(s.ota, f"{path}.ota")
-
-
 def validate(config: AdcConfig) -> AdcConfig:
-    """Return the config unchanged if every invariant holds.
+    """Return the config unchanged if every node and leaf fits its declaration.
 
-    Raises ConfigError naming the first violated field. Idempotent:
-    validate(validate(c)) is c.
+    Raises ConfigError naming the first key that does not (see _fit), or a
+    tuple of the wrong length. Idempotent: validate(validate(c)) is c.
     """
-    _check_type(config.reference, ReferenceConfig, "reference")
-    _check(math.isfinite(config.reference.vref) and config.reference.vref > 0.0,
-           "reference.vref", "vref must be positive")
-    _check_type(config.clock, ClockParams, "clock")
-    _check(math.isfinite(config.clock.fs) and config.clock.fs > 0.0,
-           "clock.fs", "fs must be positive")
-    _check(0.0 < config.clock.settle_fraction <= 0.5,
-           "clock.settle_fraction", "settle_fraction must be in (0, 0.5]")
-    _check_type(config.sha, ShaParams, "sha")
-    _check_ota(config.sha.ota, "sha.ota")
-    _check_type(config.stages, tuple, "stages")
+    _fit(config, AdcConfig, AdcConfig, None, None, None, "")
     if len(config.stages) != N_STAGES:
         raise ConfigError("stages: expected 6")
-    for i, st in enumerate(config.stages):
-        _check_stage(st, f"stages[{i}]")
-    _check_type(config.flash_offsets, tuple, "flash_offsets")
     if len(config.flash_offsets) != N_FLASH_THRESHOLDS:
         raise ConfigError("flash_offsets: expected 3 values")
-    for i, off in enumerate(config.flash_offsets):
-        _check(math.isfinite(off), f"flash_offsets[{i}]", "offset must be finite")
     return config
+
+
+@functools.cache
+def _children(kind):
+    """What a node declared as kind holds: None for a leaf, (element type,) for a tuple, and
+    for a dataclass field name -> (declared type, its class, lo, hi, interval), with the
+    bounds of _in, or for a field with no interval the empty [inf, -inf] that no value is in.
+    """
+    if is_dataclass(kind):
+        hints = typing.get_type_hints(kind)
+        return {f.name: (hints[f.name], typing.get_origin(hints[f.name]) or hints[f.name],
+                         *f.metadata.get("in", (math.inf, -math.inf, None)))
+                for f in fields(kind)}
+    return typing.get_args(kind)[:1] if typing.get_origin(kind) is tuple else None
+
+
+def _fit(value, kind, cls, lo, hi, interval, key: str) -> None:
+    """Raise ConfigError unless value, declared as kind of class cls, and all below it fit.
+
+    A dataclass or tuple must be a cls, a bool leaf a bool, and a float leaf
+    (or each float of a tuple) a real number other than a bool in [lo, hi].
+    A child's key is built only if it is not the usual in-range float.
+    """
+    fits = (isinstance(value, numbers.Real) and not isinstance(value, bool) if cls is float
+            else isinstance(value, cls))
+    if not fits:
+        raise ConfigError(f"{key}: expected {cls.__name__}, got {type(value).__name__}")
+    if cls is float and not lo <= value <= hi:
+        raise ConfigError(f"{key}: must be in {interval}")
+    if cls is tuple:
+        element = _children(kind)[0]
+        for i, item in enumerate(value):
+            if not (item.__class__ is float and lo <= item <= hi):
+                _fit(item, element, element, lo, hi, interval, f"{key}[{i}]")
+    elif cls is not float and cls is not bool:
+        for name, (child, child_cls, lo, hi, interval) in _children(kind).items():
+            item = getattr(value, name)
+            if not (item.__class__ is float and lo <= item <= hi):
+                _fit(item, child, child_cls, lo, hi, interval, f"{key}.{name}" if key else name)
 
 
 # ---------------------------------------------------------------------------
@@ -270,15 +281,13 @@ PRESETS = {
 
 def preset_config(name: str, seed: int | None = None) -> AdcConfig:
     """The named preset; seed (default 0) picks the draw of the one preset that draws mismatch."""
-    try:
-        factory = PRESETS[name]
-    except KeyError:
+    if name not in PRESETS:
         raise ConfigError(f"unknown preset: {name} (choose from {', '.join(sorted(PRESETS))})")
     if name == "degraded":
-        return factory(seed=seed if seed is not None else 0)
+        return PRESETS[name](seed=seed if seed is not None else 0)
     if seed is not None:
         raise ConfigError(f"preset {name} draws no mismatch, so it takes no seed")
-    return factory()
+    return PRESETS[name]()
 
 
 def with_mismatch(base: AdcConfig, seed: int) -> AdcConfig:
@@ -310,15 +319,6 @@ def with_mismatch(base: AdcConfig, seed: int) -> AdcConfig:
 # paths of AdcConfig, tuple indices in brackets, read from the dataclasses by _children.
 
 
-@functools.cache
-def _children(kind):
-    """Field name -> declared type of a dataclass, (element type,) of a tuple, else None."""
-    if is_dataclass(kind):
-        hints = typing.get_type_hints(kind)
-        return {f.name: hints[f.name] for f in fields(kind)}
-    return typing.get_args(kind)[:1] if typing.get_origin(kind) is tuple else None
-
-
 def _replace_leaf(node, kind, keys: list, value, path: str):
     """Return node (declared as kind) with the leaf that keys name set to value.
 
@@ -344,7 +344,7 @@ def _replace_leaf(node, kind, keys: list, value, path: str):
         except OverflowError as exc:
             raise ConfigError(f"bad value for {path}: {value!r}") from exc
     if isinstance(children, dict) and key in children:
-        leaf = _replace_leaf(getattr(node, key), children[key], rest, value, path)
+        leaf = _replace_leaf(getattr(node, key), children[key][0], rest, value, path)
         return replace(node, **{key: leaf})
     raise ConfigError(f"unknown key: {path}")
 
@@ -383,7 +383,7 @@ def _leaves(node, kind, path: str):
     """(key, value text) for every leaf below node (declared as kind), in field order."""
     children = _children(kind)
     if isinstance(children, dict):
-        for name, child in children.items():
+        for name, (child, *_) in children.items():
             yield from _leaves(getattr(node, name), child, f"{path}.{name}" if path else name)
     elif isinstance(children, tuple):
         for i, item in enumerate(node):

@@ -27,7 +27,10 @@ ENGINE = "src/pipeadc/engine.py"
 STAGES = "src/pipeadc/stages.py"
 METRICS = "src/pipeadc/metrics.py"
 CORRECTION = "src/pipeadc/correction.py"
+CONFIG = "src/pipeadc/config.py"
 TEST_ENGINE = "tests/test_engine.py"
+TEST_METRICS = "tests/test_metrics.py"
+TEST_CONFIG = "tests/test_config.py"
 
 MUTANTS = [
     # (file, old, new, test file that must fail)
@@ -42,21 +45,37 @@ MUTANTS = [
     # the relaxation bookkeeping
     (ENGINE, "MAX_SWEEPS = 64", "MAX_SWEEPS = 2", TEST_ENGINE),
     (ENGINE, "first = min(first, start + i)", "first = min(first, start + i + 1)", TEST_ENGINE),
+    # reset off with every k_mem 0 is memoryless too: one sweep per group
+    (ENGINE, " or all(k == 0.0 for k in self._kmem)", "", TEST_ENGINE),
     # the correction and the measurements
     (CORRECTION, "np.clip(acc, 0, 255, out=acc)", "np.clip(acc, 0, 256, out=acc)",
      "tests/test_correction.py"),
-    (METRICS, "last = FULL_SCALE_CODES - 2", "last = FULL_SCALE_CODES - 3",
-     "tests/test_metrics.py"),
-    (METRICS, "SIGNAL_GUARD_BINS = 1", "SIGNAL_GUARD_BINS = 2", "tests/test_metrics.py"),
+    (METRICS, "last = FULL_SCALE_CODES - 2", "last = FULL_SCALE_CODES - 3", TEST_METRICS),
+    (METRICS, "SIGNAL_GUARD_BINS = 1", "SIGNAL_GUARD_BINS = 2", TEST_METRICS),
     # a capture's DC bin holds only rounding, as the record is mean-removed;
     # the known-answer spectrum puts power there
-    (METRICS, "mask[0] = False", "mask[0] = True", "tests/test_metrics.py"),
+    (METRICS, "mask[0] = False", "mask[0] = True", TEST_METRICS),
+    # the edges of a ramp capture's coverage, and the INL written for code 0
+    (METRICS, "h_avg < MIN_HITS", "h_avg <= MIN_HITS", TEST_METRICS),
+    (METRICS, "hit[-1] - hit[0] < FULL_SCALE_CODES // 2",
+     "hit[-1] - hit[0] <= FULL_SCALE_CODES // 2", TEST_METRICS),
+    (METRICS, "    inl[0] = 0.0\n", "", TEST_METRICS),
+    # the declared domains, and how an interval's ends become bounds
+    (CONFIG, 'beta: float = _in(0.5, "(0, 1]")', 'beta: float = _in(0.5, "(0, 2]")', TEST_CONFIG),
+    (CONFIG, 'gain_mismatch: float = _in(0.0, "(-0.5, 0.5)")',
+     'gain_mismatch: float = _in(0.0, "(-0.5, 0.5]")', TEST_CONFIG),
+    (CONFIG, 'fs: float = _in(166.6e6, "(0, inf)")', 'fs: float = _in(166.6e6, "(0, inf]")',
+     TEST_CONFIG),
+    (CONFIG, 'lo = math.nextafter(lo, math.inf) if interval[0] == "(" else lo', "", TEST_CONFIG),
+    (CONFIG, "if isinstance(value, (int, float)) and value in (0, 1):", "if False:", TEST_CONFIG),
 ]
 
 EQUIVALENT = [
     # (file, old, new, why no test can tell them apart)
     (STAGES, "d * ((1.0 + stage.dac_mismatch) * vref)", "(d * (1.0 + stage.dac_mismatch)) * vref",
      "d is -1, 0 or +1, so either grouping of the DAC product is exact"),
+    (CORRECTION, "if shift < n:", "if shift <= n:",
+     "at shift == n both slices are empty, so the add does nothing either way"),
 ]
 
 

@@ -3,6 +3,7 @@ import re
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -35,7 +36,7 @@ def test_five_stages_rejected():
 
 def test_zero_beta_rejected():
     bad = set_param(default_config(), "stages[0].ota.beta", 0.0)
-    with pytest.raises(ConfigError, match="beta must be positive"):
+    with pytest.raises(ConfigError, match=r"^stages\[0\]\.ota\.beta: must be in \(0, 1\]$"):
         validate(bad)
 
 
@@ -46,12 +47,72 @@ def test_zero_beta_rejected():
     ("stages[3].ota.k_mem", 1.5, "k_mem"),
     ("sha.ota.a0", 0.5, "a0"),
     ("stages[1].gain_mismatch", 0.6, "gain_mismatch"),
-    ("flash_offsets[2]", math.inf, "finite"),
+    ("flash_offsets[2]", math.inf, "flash_offsets"),
 ])
 def test_invariant_violations_name_the_field(path, value, msg):
     bad = set_param(default_config(), path, value)
     with pytest.raises(ConfigError, match=msg):
         validate(bad)
+
+
+# Each leaf's interval, by leaf name, written here rather than read from
+# config.py, so that a changed declaration fails the edge test below.
+DOMAINS = {
+    "vref": "(0, inf)", "fs": "(0, inf)", "settle_fraction": "(0, 0.5]", "reset_enabled": bool,
+    "a0": "[1, inf]", "gbw": "(0, inf]", "beta": "(0, 1]", "k_mem": "[0, 1]",
+    "gain_mismatch": "(-0.5, 0.5)", "dac_mismatch": "(-0.5, 0.5)",
+    "cmp_offset_hi": "(-inf, inf)", "cmp_offset_lo": "(-inf, inf)", "flash_offsets": "(-inf, inf)",
+}
+
+
+def _edge_values(interval):
+    """(accepted, rejected): each closed end and the nearest float inside each open end;
+    the nearest float outside each end, NaN, and each infinity the interval excludes."""
+    lo, hi = (float(end) for end in interval[1:-1].split(","))
+    accepted, rejected = [], [math.nan]
+    for end, closed, inward in ((lo, interval[0] == "[", math.inf),
+                                (hi, interval[-1] == "]", -math.inf)):
+        if closed:
+            accepted.append(end)
+            if math.isfinite(end):
+                rejected.append(math.nextafter(end, -inward))
+        else:
+            accepted.append(math.nextafter(end, inward))
+            rejected.append(end)
+    rejected += [inf for inf in (-math.inf, math.inf) if inf not in accepted + rejected]
+    return accepted, rejected
+
+
+def test_every_key_accepts_its_edges_and_rejects_past_them():
+    d = default_config()
+    keys = [line.split(" = ")[0] for line in config_to_text(d).splitlines()[1:]]
+    assert len(keys) == 59
+    wrong = []
+    for key in keys:
+        leaf = re.sub(r"\[\d+\]$", "", key).rsplit(".", 1)[-1]
+        if leaf not in DOMAINS:
+            wrong.append(f"{key}: no domain in the test's table")
+            continue
+        if DOMAINS[leaf] is bool:
+            accepted, rejected = [True, False], []
+        else:
+            accepted, rejected = _edge_values(DOMAINS[leaf])
+        for value in accepted:
+            try:
+                cfg = validate(set_param(d, key, value))
+            except ConfigError as exc:
+                wrong.append(f"{key} = {value!r} rejected: {exc}")
+                continue
+            if f"\n{key} = {str(value).lower()}\n" not in config_to_text(cfg):
+                wrong.append(f"{key} = {value!r} not stored")
+        for value in rejected:
+            try:
+                validate(set_param(d, key, value))
+                wrong.append(f"{key} = {value!r} accepted")
+            except ConfigError as exc:
+                if str(exc) != f"{key}: must be in {DOMAINS[leaf]}":
+                    wrong.append(f"{key} = {value!r}: wrong message: {exc}")
+    assert wrong == []
 
 
 def _with_stage(i, stage):
@@ -76,6 +137,59 @@ def _with_stage(i, stage):
 def test_nodes_must_have_their_declared_types(config, message):
     with pytest.raises(ConfigError, match=f"^{message}$"):
         validate(config)
+
+
+def _with_raw_leaf(path, value):
+    """default_config() with one leaf set as given, with no parsing by set_param."""
+    d = default_config()
+    return {
+        "clock.reset_enabled": lambda: replace(d, clock=replace(d.clock, reset_enabled=value)),
+        "reference.vref": lambda: replace(d, reference=ReferenceConfig(vref=value)),
+        "flash_offsets[1]": lambda: replace(d, flash_offsets=(0.0, value, 0.0)),
+        "stages[3].gain_mismatch": lambda: _with_stage(3, StageParams(gain_mismatch=value)),
+        "sha.ota.a0": lambda: replace(d, sha=ShaParams(ota=OtaParams(a0=value))),
+    }[path]()
+
+
+@pytest.mark.parametrize("path,value,message", [
+    # a truthy string would run the engine memoryless
+    ("clock.reset_enabled", "false", "expected bool, got str"),
+    ("clock.reset_enabled", 1, "expected bool, got int"),
+    ("clock.reset_enabled", None, "expected bool, got NoneType"),
+    ("reference.vref", "0.6", "expected float, got str"),
+    ("flash_offsets[1]", "0.0", "expected float, got str"),
+    ("stages[3].gain_mismatch", True, "expected float, got bool"),
+    ("sha.ota.a0", False, "expected float, got bool"),
+])
+def test_leaves_must_have_their_declared_types(path, value, message):
+    with pytest.raises(ConfigError, match=f"^{re.escape(path)}: {message}$"):
+        validate(_with_raw_leaf(path, value))
+
+
+@pytest.mark.parametrize("path,value", [
+    ("reference.vref", 1), ("flash_offsets[1]", -2), ("stages[3].gain_mismatch", 0),
+    ("sha.ota.a0", 10 ** 4), ("reference.vref", np.float64(0.5)),
+])
+def test_real_number_leaves_accepted(path, value):
+    cfg = _with_raw_leaf(path, value)
+    assert validate(cfg) is cfg
+
+
+def test_int_leaf_outside_its_interval_rejected():
+    with pytest.raises(ConfigError, match=r"^reference\.vref: must be in \(0, inf\)$"):
+        validate(_with_raw_leaf("reference.vref", 0))
+
+
+@pytest.mark.parametrize("value,expected", [(0, False), (0.0, False), (1, True), (1.0, True)])
+def test_reset_enabled_takes_zero_and_one_as_numbers(value, expected):
+    cfg = set_param(default_config(), "clock.reset_enabled", value)
+    assert cfg.clock.reset_enabled is expected
+
+
+@pytest.mark.parametrize("value", [2, 0.5])
+def test_reset_enabled_rejects_other_numbers(value):
+    with pytest.raises(ConfigError, match=r"^bad value for clock\.reset_enabled: "):
+        set_param(default_config(), "clock.reset_enabled", value)
 
 
 def test_error_reports_field_path():
@@ -122,7 +236,7 @@ def test_roundtrip_identity(cfg):
 
 @pytest.mark.parametrize("preset", [default_config(), ideal_config(), degraded_config(seed=3),
                                     settling_fit_config()])
-def test_presets_write_sixty_keys(preset):
+def test_presets_write_fifty_nine_keys(preset):
     keys = [line.split(" = ")[0] for line in config_to_text(preset).splitlines()[1:]]
     assert len(keys) == len(set(keys)) == 59
     assert [k for k in keys if k.startswith("sha.")] == ["sha.ota.a0", "sha.ota.gbw",

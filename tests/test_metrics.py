@@ -63,6 +63,53 @@ def test_dnl_normalization_properties():
     assert np.allclose(line[1:255], expect[1:255], atol=1e-12)
 
 
+def _histogram_stream(counts):
+    """A stream whose code k occurs counts[k] times."""
+    return synth_stream(np.repeat(np.arange(len(counts)), counts))
+
+
+def test_known_answer_linearity_pins_both_end_codes():
+    # interior codes take 40 hits each except 60 at code 1 and 20 at code 2,
+    # so H_avg = 40, DNL[1] = +0.5, DNL[2] = -0.5, and the raw INL is 0.5 at
+    # code 1 and 0 from code 2 on; the endpoint line runs from 0.5 at code 1
+    # to 0 at code 254, and would put code 0 at -(0.5 + 0.5/253) unpinned
+    counts = np.full(256, 40)
+    counts[[0, 255]] = 5
+    counts[1], counts[2] = 60, 20
+    report = ramp_linearity(_histogram_stream(counts))
+    assert report.max_dnl == (0.5, 1)
+    assert report.dnl[2] == -0.5 and not report.dnl[3:255].any()
+    k = np.arange(2, 255)
+    assert np.allclose(report.inl[2:255], -0.5 + 0.5 * (k - 1.0) / 253.0, rtol=0, atol=1e-15)
+    assert report.inl[0] == 0.0 and report.inl[255] == 0.0
+    assert report.max_inl[1] == 2 and report.missing_codes == ()
+
+
+@pytest.mark.parametrize("interior_hits,accepted", [(32, True), (31, False)])
+def test_min_hits_edge(interior_hits, accepted):
+    # exactly MIN_HITS (32) hits per interior code on average is enough
+    counts = np.full(256, interior_hits)
+    if accepted:
+        assert not ramp_linearity(_histogram_stream(counts)).missing_codes
+    else:
+        with pytest.raises(ValueError, match="^insufficient code coverage: 31.0 hits"):
+            ramp_linearity(_histogram_stream(counts))
+
+
+@pytest.mark.parametrize("top,accepted", [(128, True), (127, False)])
+def test_coverage_span_edge(top, accepted):
+    # codes 0..top hit, 70 times each: at least 32 hits per interior code on
+    # average, so only the span decides; a span of exactly half the range is enough
+    counts = np.zeros(256, dtype=np.int64)
+    counts[:top + 1] = 70
+    if accepted:
+        report = ramp_linearity(_histogram_stream(counts))
+        assert report.missing_codes == tuple(range(top + 1, 255))
+    else:
+        with pytest.raises(ValueError, match=f"codes 0-{top} hit$"):
+            ramp_linearity(_histogram_stream(counts))
+
+
 def test_all_identical_codes_rejected():
     with pytest.raises(ValueError, match="insufficient code coverage"):
         ramp_linearity(synth_stream(np.full(100000, 128)))
