@@ -8,8 +8,8 @@ from .config import (AdcConfig, ClockParams, CodeStream, ConfigError, OtaParams,
 from .correction import correct_result, correct_stream, digitize, ideal_quantize
 from .engine import (PIPELINE_LATENCY_SAMPLES, PipelineEngine, SettleRow, SimulationResult,
                      settle_report)
-from .metrics import (LinearityReport, SpectrumData, SpectrumReport,
-                      coherent_frequency, ramp_linearity, sndr_sfdr_enob, spectrum)
+from .metrics import (LinearityReport, SpectrumReport, coherent_frequency, ramp_linearity,
+                      sndr_sfdr_enob, spectrum)
 from .solver import SweepPoint, min_dc_gain, min_gbw, ramp_report, sine_report, sweep
 from .stages import flash2b, mdac_residue, settle_coefficients, sub_adc_decide
 from .waveforms import Waveform, generate

@@ -89,9 +89,11 @@ def _cmd_linearity(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    report, f_in = sine_report(_resolve_config(args), args.nfft)
+    config = _resolve_config(args)
+    report, f_in = sine_report(config, args.nfft)
     out = _out_dir(args)
-    csv_path = reports.write_spectrum_csv(out / "spectrum.csv", report)
+    csv_path = reports.write_spectrum_csv(out / "spectrum.csv", report,
+                                          config.clock.fs / args.nfft)
     reports.write_spectrum_plot(out / "spectrum.gp", csv_path.name)
     print(f"f_in = {f_in / 1e6:.4f} MHz (bin {report.signal_bin} of {args.nfft})")
     print(f"SNDR = {report.sndr_db:.2f} dB, SFDR = {report.sfdr_db:.2f} dB, "

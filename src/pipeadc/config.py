@@ -152,7 +152,7 @@ class AdcConfig:
 
 @dataclass(frozen=True)
 class CodeStream:
-    """Corrected 8-bit output codes with their sample rate.
+    """Corrected 8-bit output codes.
 
     codes is an int16 array with every value in [0, 255]. The first
     ``warmup`` entries were emitted while the pipeline was still filling and
@@ -160,7 +160,6 @@ class CodeStream:
     """
 
     codes: np.ndarray
-    fs: float
     warmup: int = 0
 
 

@@ -22,7 +22,7 @@ MID_CODE = 128
 FLASH_MID = 2
 
 
-def correct_stream(decisions: np.ndarray, flash: np.ndarray, fs: float) -> CodeStream:
+def correct_stream(decisions: np.ndarray, flash: np.ndarray) -> CodeStream:
     """Vectorized correction of a raw decision stream.
 
     The pipeline emits stage k's decision for input sample m at step m + k and
@@ -42,11 +42,11 @@ def correct_stream(decisions: np.ndarray, flash: np.ndarray, fs: float) -> CodeS
         if shift < n:
             acc[shift:] += decisions[:n - shift, k - 1] * np.int16(1 << (7 - k))
     codes = np.clip(acc, 0, 255, out=acc)
-    return CodeStream(codes=codes, fs=fs, warmup=min(n, PIPELINE_LATENCY_SAMPLES))
+    return CodeStream(codes=codes, warmup=min(n, PIPELINE_LATENCY_SAMPLES))
 
 
 def correct_result(result: SimulationResult) -> CodeStream:
-    return correct_stream(result.decisions, result.flash, result.fs)
+    return correct_stream(result.decisions, result.flash)
 
 
 def digitize(waveform, config: AdcConfig) -> CodeStream:

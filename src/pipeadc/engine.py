@@ -95,7 +95,6 @@ class SimulationResult:
     decisions: np.ndarray
     flash: np.ndarray
     residues: np.ndarray | None
-    fs: float
     sweeps: int = 0
     stepped_samples: int = 0
 
@@ -190,16 +189,15 @@ class PipelineEngine:
                 residues[b0:b1] = cols[:, 1:].T
             buf[:, 0] = cols[:, -1]
         return SimulationResult(vin=v, decisions=decisions, flash=flash, residues=residues,
-                                fs=self.config.clock.fs, sweeps=sweeps, stepped_samples=stepped)
+                                sweeps=sweeps, stepped_samples=stepped)
 
     def _block(self, v: np.ndarray, cols: np.ndarray, decisions: np.ndarray,
                flash: np.ndarray) -> tuple[int, int]:
         """Run one block; returns (most sweeps of any group, samples stepped).
 
-        cols is laid out as in ``simulate``; its column 0 is final on entry.
+        cols is laid out as in ``simulate``; its column 0 is final on entry,
+        and with memory the rest, whatever it holds, is the first sweep's guess.
         """
-        if not self._memoryless:
-            cols[:, 1:] = 0.0  # pass 0 guesses discharged amplifiers
         n, most, stepped = v.size, 0, 0
         for group in self._groups:  # its upstream is final: decide once, not per sweep
             k = group[0]

@@ -45,26 +45,10 @@ class LinearityReport:
 
 
 @dataclass(frozen=True)
-class SpectrumData:
-    """One-sided power spectrum of the normalized code stream.
-
-    Codes are mean-removed, scaled by 1/128 so a full-scale sine has unit
-    amplitude, and transformed unwindowed. bin_power[k] is
-    |X_k|^2 * m_k / N^2 with m_k = 2 except at DC and Nyquist, which makes the
-    total equal the mean square of the signal (Parseval).
-    """
-
-    bin_power: np.ndarray
-    freqs: np.ndarray
-    n_fft: int
-
-
-@dataclass(frozen=True)
 class SpectrumReport:
-    """SNDR/SFDR/ENOB plus per-bin powers relative to the carrier."""
+    """SNDR/SFDR/ENOB plus per-bin powers relative to the carrier, bin k at k*fs/n_fft."""
 
     power_dbc: np.ndarray
-    freqs: np.ndarray
     signal_bin: int
     sndr_db: float
     sfdr_db: float
@@ -119,13 +103,18 @@ def ramp_linearity(stream: CodeStream) -> LinearityReport:
                            missing_codes=missing)
 
 
-def spectrum(stream: CodeStream, n_fft: int) -> SpectrumData:
-    """One-sided power spectrum of the first n_fft post-warm-up codes.
+def spectrum(stream: CodeStream, n_fft: int) -> np.ndarray:
+    """One-sided power spectrum of the first n_fft post-warm-up codes: n_fft/2 + 1 bin powers.
+
+    Codes are mean-removed, scaled by 1/128 so a full-scale sine has unit
+    amplitude, and transformed unwindowed. Bin k's power is
+    |X_k|^2 * m_k / N^2 with m_k = 2 except at DC and Nyquist, which makes the
+    total equal the mean square of the signal (Parseval).
 
     n_fft must be a power of two no longer than the usable stream. Callers
     snap the tone to a coherent bin (:func:`coherent_frequency`), so no
     window is needed (IEEE Std 1241-2010). The DFT is exact (checked against
-    a direct O(N^2) sum in the tests); :class:`SpectrumData` has the scaling.
+    a direct O(N^2) sum in the tests).
     """
     if n_fft < 2 or n_fft & (n_fft - 1):
         raise ValueError("n_fft must be a power of two")
@@ -137,38 +126,36 @@ def spectrum(stream: CodeStream, n_fft: int) -> SpectrumData:
     power = np.abs(spec) ** 2
     power[1:n_fft // 2] *= 2.0
     power /= float(n_fft) ** 2
-    freqs = np.arange(n_fft // 2 + 1) * (stream.fs / n_fft)
-    return SpectrumData(bin_power=power, freqs=freqs, n_fft=n_fft)
+    return power
 
 
-def sndr_sfdr_enob(data: SpectrumData, signal_bin: int) -> SpectrumReport:
-    """Fold the spectrum into SNDR, SFDR and ENOB.
+def sndr_sfdr_enob(power: np.ndarray, signal_bin: int) -> SpectrumReport:
+    """Fold the bin powers of :func:`spectrum` into SNDR, SFDR and ENOB.
 
     SNDR is signal-bin power over the sum of every other bin, excluding DC
     and SIGNAL_GUARD_BINS bins on each side of the signal; SFDR is signal
     power over the single largest remaining bin; ENOB = (SNDR - 1.76)/6.02.
     A spectrum with no residual power reports the 200 dB cap.
     """
-    p = data.bin_power
-    nyquist = data.n_fft // 2
+    nyquist = power.size - 1
     if not 0 < signal_bin < nyquist:
         raise ValueError(f"signal bin must lie strictly inside (0, {nyquist})")
-    p_sig = float(p[signal_bin])
+    p_sig = float(power[signal_bin])
     if p_sig == 0.0:
         raise ValueError("signal bin has zero power")
-    mask = np.ones(p.size, dtype=bool)
+    mask = np.ones(power.size, dtype=bool)
     mask[0] = False
     mask[signal_bin - SIGNAL_GUARD_BINS:signal_bin + SIGNAL_GUARD_BINS + 1] = False
-    p_other = float(p[mask].sum())
-    p_peak = float(p[mask].max()) if mask.any() else 0.0
+    p_other = float(power[mask].sum())
+    p_peak = float(power[mask].max()) if mask.any() else 0.0
 
     sndr = DB_CAP if p_other <= 0.0 else min(DB_CAP, 10.0 * math.log10(p_sig / p_other))
     sfdr = DB_CAP if p_peak <= 0.0 else min(DB_CAP, 10.0 * math.log10(p_sig / p_peak))
     enob = (sndr - ENOB_OFFSET_DB) / ENOB_SLOPE_DB
 
     floor = p_sig * 10.0 ** (-2.0 * DB_CAP / 10.0)
-    dbc = 10.0 * np.log10(np.maximum(p, floor) / p_sig)
-    return SpectrumReport(power_dbc=dbc, freqs=data.freqs, signal_bin=signal_bin,
+    dbc = 10.0 * np.log10(np.maximum(power, floor) / p_sig)
+    return SpectrumReport(power_dbc=dbc, signal_bin=signal_bin,
                           sndr_db=sndr, sfdr_db=sfdr, enob=enob)
 
 

@@ -70,9 +70,11 @@ def write_linearity_csv(path, report: LinearityReport) -> Path:
                   [range(len(report.dnl)), report.dnl, report.inl])
 
 
-def write_spectrum_csv(path, report: SpectrumReport) -> Path:
+def write_spectrum_csv(path, report: SpectrumReport, bin_hz: float) -> Path:
+    """One row per bin k: k, its frequency k * bin_hz (fs/n_fft) and its power in dBc."""
+    bins = np.arange(len(report.power_dbc))
     return _write(path, ["bin", "freq_hz", "power_db"], "%d,%r,%r",
-                  [range(len(report.power_dbc)), report.freqs, report.power_dbc])
+                  [bins, bins * bin_hz, report.power_dbc])
 
 
 def write_settle_csv(path, rows: list[SettleRow]) -> Path:

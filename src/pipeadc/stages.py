@@ -78,8 +78,11 @@ def _above(a: float, b: float, strict: bool) -> float:
 
 
 def _flag(hit):
-    """A comparison as 0/1: an int8 array elementwise, an int for a scalar."""
-    return hit.view(np.int8) if isinstance(hit, np.ndarray) else int(hit)
+    """A comparison as 0/1: an int for a Python bool, else its int8 view (elementwise on arrays).
+
+    The class test is the cheap one: the group stepper pays it per comparator per sample.
+    """
+    return int(hit) if hit.__class__ is bool else hit.view(np.int8)
 
 
 def sub_adc_thresholds(stage: StageParams, vref: float) -> tuple[float, float]:

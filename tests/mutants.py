@@ -31,6 +31,7 @@ CONFIG = "src/pipeadc/config.py"
 TEST_ENGINE = "tests/test_engine.py"
 TEST_METRICS = "tests/test_metrics.py"
 TEST_CONFIG = "tests/test_config.py"
+TEST_CORRECTION = "tests/test_correction.py"
 
 MUTANTS = [
     # (file, old, new, test file that must fail)
@@ -47,9 +48,19 @@ MUTANTS = [
     (ENGINE, "first = min(first, start + i)", "first = min(first, start + i + 1)", TEST_ENGINE),
     # reset off with every k_mem 0 is memoryless too: one sweep per group
     (ENGINE, " or all(k == 0.0 for k in self._kmem)", "", TEST_ENGINE),
-    # the correction and the measurements
+    # the correction: each stage's delay and digit weight, the code offset, the warm-up
     (CORRECTION, "np.clip(acc, 0, 255, out=acc)", "np.clip(acc, 0, 256, out=acc)",
-     "tests/test_correction.py"),
+     TEST_CORRECTION),
+    (CORRECTION, "shift = PIPELINE_LATENCY_SAMPLES - k", "shift = PIPELINE_LATENCY_SAMPLES - k + 1",
+     TEST_CORRECTION),
+    (CORRECTION, "np.int16(1 << (7 - k))", "np.int16(1 << (6 - k))", TEST_CORRECTION),
+    (CORRECTION, "acc += MID_CODE - FLASH_MID", "acc += MID_CODE - FLASH_MID - 1",
+     TEST_CORRECTION),
+    (CORRECTION, "warmup=min(n, PIPELINE_LATENCY_SAMPLES)",
+     "warmup=min(n, PIPELINE_LATENCY_SAMPLES - 1)", TEST_CORRECTION),
+    # the measurements: the one-sided scaling leaves DC and Nyquist single
+    (METRICS, "power[1:n_fft // 2] *= 2.0", "power[1:n_fft // 2 + 1] *= 2.0", TEST_METRICS),
+    (METRICS, "if n_fft < 2 or n_fft & (n_fft - 1):", "if n_fft < 2:", TEST_METRICS),
     (METRICS, "last = FULL_SCALE_CODES - 2", "last = FULL_SCALE_CODES - 3", TEST_METRICS),
     (METRICS, "SIGNAL_GUARD_BINS = 1", "SIGNAL_GUARD_BINS = 2", TEST_METRICS),
     # a capture's DC bin holds only rounding, as the record is mean-removed;

@@ -52,5 +52,4 @@ def stepped(config, wave):
             last[AMPLIFIER[k]] = settle_value(target, v_init, *coeffs[k])
             out.append(last[AMPLIFIER[k]])
         residues[i] = prev = out
-    return SimulationResult(vin=wave, decisions=decisions, flash=flash, residues=residues,
-                            fs=config.clock.fs)
+    return SimulationResult(vin=wave, decisions=decisions, flash=flash, residues=residues)

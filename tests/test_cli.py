@@ -116,6 +116,19 @@ def test_spectrum_command(tmp_path, capsys):
     assert (tmp_path / "spectrum.gp").exists()
 
 
+def test_spectrum_labels_bins_at_the_config_sample_rate(tmp_path, capsys):
+    # freq_hz is k * fs/n_fft for the config's own fs, not the default 166.6 MHz,
+    # for bins 0 to n_fft/2
+    cfg_path = tmp_path / "slow.cfg"
+    cfg_path.write_text("clock.fs = 100e6\n")
+    status, _, _ = run(["spectrum", "--config", str(cfg_path), "--nfft", "256",
+                        "--out", str(tmp_path)], capsys)
+    assert status == 0
+    rows = [line.split(",") for line in
+            (tmp_path / "spectrum.csv").read_text().splitlines()[1:]]
+    assert [row[:2] for row in rows] == [[str(k), repr(k * (100e6 / 256))] for k in range(129)]
+
+
 @pytest.mark.parametrize("nfft", ["0", "-4", "2", "1000"])
 @pytest.mark.parametrize("command", [["spectrum"], ["sweep", "--axis", "ota.a0_db",
                                                     "--values", "60", "--metric", "enob"]])

@@ -83,7 +83,7 @@ def test_stream_alignment_against_scalar_correction():
     vin = 0.3 * VREF
     wave = np.concatenate([[vin], np.zeros(PIPELINE_LATENCY_SAMPLES)])
     result = PipelineEngine(cfg).simulate(wave)
-    stream = correct_stream(result.decisions, result.flash, cfg.clock.fs)
+    stream = correct_stream(result.decisions, result.flash)
     n = PIPELINE_LATENCY_SAMPLES
     manual = align_and_correct(CorrectionInput(
         d=tuple(int(result.decisions[n - 6 + k, k]) for k in range(6)),
@@ -126,22 +126,22 @@ def test_correct_stream_matches_scalar_oracle(decisions, data):
     # that entered the pipe 7 - k steps earlier (zero before the first sample)
     n = len(decisions)
     flash = data.draw(arrays(np.int8, n, elements=st.integers(0, 3)))
-    stream = correct_stream(decisions, flash, 1.0)
+    stream = correct_stream(decisions, flash)
     assert stream.codes.dtype == np.int16
     for i in range(n):
         d = tuple(int(decisions[i - 7 + k, k - 1]) if i - 7 + k >= 0 else 0
                   for k in range(1, N_STAGES + 1))
         assert stream.codes[i] == align_and_correct(CorrectionInput(d=d, d_flash=int(flash[i])))
     # the engine's layout: each stage's digits contiguous
-    engine_layout = correct_stream(np.asfortranarray(decisions), flash, 1.0).codes
+    engine_layout = correct_stream(np.asfortranarray(decisions), flash).codes
     assert engine_layout.dtype == np.int16
     assert np.array_equal(engine_layout, stream.codes)
     # any int8 digits, in range or not, give the clipped exact int64 sum
     wide = data.draw(arrays(np.int8, decisions.shape, elements=st.integers(-128, 127)))
     wide_flash = data.draw(arrays(np.int8, n, elements=st.integers(-128, 127)))
-    wide_codes = correct_stream(wide, wide_flash, 1.0).codes
+    wide_codes = correct_stream(wide, wide_flash).codes
     assert np.array_equal(wide_codes, int64_correction(wide, wide_flash))
-    assert np.array_equal(correct_stream(np.asfortranarray(wide), wide_flash, 1.0).codes,
+    assert np.array_equal(correct_stream(np.asfortranarray(wide), wide_flash).codes,
                           wide_codes)
 
 
@@ -160,5 +160,4 @@ def test_code_stream_metadata():
     cfg = ideal_config()
     stream = digitize(np.zeros(20), cfg)
     assert stream.warmup == PIPELINE_LATENCY_SAMPLES
-    assert stream.fs == cfg.clock.fs
     assert stream.codes.min() >= 0 and stream.codes.max() <= 255

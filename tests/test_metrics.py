@@ -11,7 +11,7 @@ FS = 166.6e6
 
 
 def synth_stream(codes, warmup=0):
-    return CodeStream(codes=np.asarray(codes, dtype=np.int64), fs=FS, warmup=warmup)
+    return CodeStream(codes=np.asarray(codes, dtype=np.int64), warmup=warmup)
 
 
 def direct_dft_power(codes, n_fft):
@@ -146,8 +146,7 @@ def test_pure_tone_has_single_bin():
     n_fft, m = 4096, 101
     n = np.arange(n_fft)
     codes = np.round(127.5 + 127.0 * np.sin(2 * np.pi * m * n / n_fft)).astype(int)
-    data = spectrum(synth_stream(codes), n_fft)
-    p = data.bin_power.copy()
+    p = spectrum(synth_stream(codes), n_fft)
     sig = p[m]
     p[m] = 0
     p[0] = 0
@@ -157,8 +156,7 @@ def test_pure_tone_has_single_bin():
 
 
 def test_dc_only_stream_is_all_zero():
-    data = spectrum(synth_stream(np.full(1024, 200)), 1024)
-    assert np.all(data.bin_power == 0.0)
+    assert np.all(spectrum(synth_stream(np.full(1024, 200)), 1024) == 0.0)
 
 
 @pytest.mark.parametrize("n_fft", [16, 64, 256, 1024])
@@ -167,7 +165,7 @@ def test_spectrum_matches_direct_dft(n_fft):
     n = np.arange(n_fft * 2)
     codes = np.clip(np.round(128 + 100 * np.sin(2 * np.pi * 3 * n / n_fft)
                              + rng.integers(-2, 3, size=n_fft * 2)), 0, 255).astype(int)
-    got = spectrum(synth_stream(codes), n_fft).bin_power
+    got = spectrum(synth_stream(codes), n_fft)
     want = direct_dft_power(codes, n_fft)
     scale = want.max()
     assert np.allclose(got, want, rtol=1e-9, atol=scale * 1e-15)
@@ -176,16 +174,16 @@ def test_spectrum_matches_direct_dft(n_fft):
 def test_parseval():
     rng = np.random.default_rng(5)
     codes = rng.integers(0, 256, size=2048)
-    data = spectrum(synth_stream(codes), 2048)
+    power = spectrum(synth_stream(codes), 2048)
     x = (codes - codes.mean()) / 128.0
-    assert data.bin_power.sum() == pytest.approx(np.mean(x ** 2), rel=1e-9)
+    assert power.sum() == pytest.approx(np.mean(x ** 2), rel=1e-9)
 
 
 def test_time_reversal_preserves_bin_powers():
     rng = np.random.default_rng(6)
     codes = rng.integers(0, 256, size=512)
-    a = spectrum(synth_stream(codes), 512).bin_power
-    b = spectrum(synth_stream(codes[::-1]), 512).bin_power
+    a = spectrum(synth_stream(codes), 512)
+    b = spectrum(synth_stream(codes[::-1]), 512)
     assert np.allclose(a, b, rtol=1e-9, atol=1e-18)
 
 
@@ -217,10 +215,7 @@ def test_degenerate_spectrum_caps_at_200db():
     n_fft, m = 256, 31
     power = np.zeros(n_fft // 2 + 1)
     power[m] = 1.0
-    from pipeadc.metrics import SpectrumData
-    data = SpectrumData(bin_power=power, freqs=np.arange(n_fft // 2 + 1) * FS / n_fft,
-                        n_fft=n_fft)
-    rep = sndr_sfdr_enob(data, m)
+    rep = sndr_sfdr_enob(power, m)
     assert rep.sndr_db == 200.0
     assert rep.sfdr_db == 200.0
 
@@ -234,25 +229,22 @@ def test_sndr_sfdr_leave_out_dc_and_one_bin_each_side_of_the_signal():
     power[[m - 1, m + 1]] = 0.5
     power[[m - 2, m + 2]] = 1e-4
     power[90] = 1e-5
-    from pipeadc.metrics import SpectrumData
-    data = SpectrumData(bin_power=power, freqs=np.arange(n_fft // 2 + 1) * FS / n_fft,
-                        n_fft=n_fft)
-    rep = sndr_sfdr_enob(data, m)
+    rep = sndr_sfdr_enob(power, m)
     assert rep.sndr_db == pytest.approx(10.0 * math.log10(1.0 / 2.1e-4), rel=1e-12)
     assert rep.sfdr_db == pytest.approx(40.0, rel=1e-12)
 
 
 def test_zero_signal_bin_rejected():
-    data = spectrum(synth_stream(np.full(256, 10)), 256)
+    power = spectrum(synth_stream(np.full(256, 10)), 256)
     with pytest.raises(ValueError, match="zero power"):
-        sndr_sfdr_enob(data, 31)
+        sndr_sfdr_enob(power, 31)
 
 
 def test_signal_bin_domain_checked():
-    data = spectrum(synth_stream(np.arange(256) % 256), 256)
+    power = spectrum(synth_stream(np.arange(256) % 256), 256)
     for bad in (0, 128, 200):
         with pytest.raises(ValueError):
-            sndr_sfdr_enob(data, bad)
+            sndr_sfdr_enob(power, bad)
 
 
 def test_power_dbc_referenced_to_carrier():

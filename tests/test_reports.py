@@ -24,7 +24,6 @@ from pipeadc.reports import CHUNK_ROWS
 LENGTHS = [0, 1, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1, 2 * CHUNK_ROWS + 3]
 SPECIAL = [-0.0, 0.0, 5e-324, -5e-324, 1e-05, 1e16, 1e22, -1e22, -1.7976931348623157e308,
            -123456789.125, 0.1, math.inf, -math.inf, math.nan]
-FS = 166e6
 CHECK = settings(derandomize=True, deadline=None, max_examples=2, database=None)
 
 floats = st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=40).map(
@@ -75,8 +74,8 @@ def oracle_linearity(path, report):
     _oracle_write(path, ["code", "dnl_lsb", "inl_lsb"], rows)
 
 
-def oracle_spectrum(path, report):
-    rows = ((k, _f(report.freqs[k]), _f(report.power_dbc[k]))
+def oracle_spectrum(path, report, bin_hz):
+    rows = ((k, _f(k * bin_hz), _f(report.power_dbc[k]))
             for k in range(len(report.power_dbc)))
     _oracle_write(path, ["bin", "freq_hz", "power_db"], rows)
 
@@ -111,7 +110,7 @@ def assert_same_bytes(directory, write, oracle, *args):
 @CHECK
 @given(codes=ints, warmup=st.integers(0, 12))
 def test_codes_csv_matches_oracle(out, n, codes, warmup):
-    stream = CodeStream(codes=column(codes, n, dtype=np.int16), fs=FS, warmup=warmup)
+    stream = CodeStream(codes=column(codes, n, dtype=np.int16), warmup=warmup)
     assert_same_bytes(out, reports.write_codes_csv, oracle_codes, stream)
 
 
@@ -123,7 +122,7 @@ def test_trace_csv_matches_oracle(out, n, pool, decisions, flash):
     residues = np.stack([column(pool, n, k) for k in range(1, 8)], axis=1)
     dec = np.asfortranarray(np.stack([column(decisions, n, k, np.int8) for k in range(6)], 1))
     result = SimulationResult(vin=column(pool, n), decisions=dec,
-                              flash=column(flash, n, dtype=np.int8), residues=residues, fs=FS)
+                              flash=column(flash, n, dtype=np.int8), residues=residues)
     assert_same_bytes(out, reports.write_trace_csv, oracle_trace, result)
 
 
@@ -138,11 +137,11 @@ def test_linearity_csv_matches_oracle(out, n, pool):
 
 @pytest.mark.parametrize("n", LENGTHS)
 @CHECK
-@given(pool=floats)
-def test_spectrum_csv_matches_oracle(out, n, pool):
-    report = SpectrumReport(power_dbc=column(pool, n), freqs=column(pool, n, 3), signal_bin=1,
-                            sndr_db=0.0, sfdr_db=0.0, enob=0.0)
-    assert_same_bytes(out, reports.write_spectrum_csv, oracle_spectrum, report)
+@given(pool=floats, bin_hz=st.floats(0.0, 1e300, exclude_min=True))
+def test_spectrum_csv_matches_oracle(out, n, pool, bin_hz):
+    report = SpectrumReport(power_dbc=column(pool, n), signal_bin=1, sndr_db=0.0, sfdr_db=0.0,
+                            enob=0.0)
+    assert_same_bytes(out, reports.write_spectrum_csv, oracle_spectrum, report, bin_hz)
 
 
 @pytest.mark.parametrize("n", LENGTHS)
@@ -184,7 +183,7 @@ def test_codes_csv_memory_stays_bounded(tmp_path):
     # rows are formatted a chunk at a time: building every row of a 2^19-sample
     # ramp's codes as Python objects at once would take tens of MB here
     n = 2 ** 19 + 7
-    stream = CodeStream(codes=(np.arange(n) % 256).astype(np.int16), fs=FS, warmup=7)
+    stream = CodeStream(codes=(np.arange(n) % 256).astype(np.int16), warmup=7)
     tracemalloc.start()
     try:
         reports.write_codes_csv(tmp_path / "codes.csv", stream)
