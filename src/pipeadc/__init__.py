@@ -6,11 +6,11 @@ from .config import (AdcConfig, ClockParams, CodeStream, ConfigError, OtaParams,
                      parse_config_text, preset_config, save_config, set_param,
                      settling_fit_config, validate, with_mismatch)
 from .correction import correct_result, correct_stream, digitize, ideal_quantize
-from .engine import (PIPELINE_LATENCY_SAMPLES, PipelineEngine, SettleRow, SimulationResult,
-                     settle_report)
+from .engine import PIPELINE_LATENCY_SAMPLES, PipelineEngine, SimulationResult
 from .metrics import (LinearityReport, SpectrumReport, coherent_frequency, ramp_linearity,
                       sndr_sfdr_enob, spectrum)
-from .solver import SweepPoint, min_dc_gain, min_gbw, ramp_report, sine_report, sweep
+from .solver import (SettleRow, SweepPoint, min_dc_gain, min_gbw, ramp_report, settle_report,
+                     sine_report, sweep)
 from .stages import flash2b, mdac_residue, settle_coefficients, sub_adc_decide
 from .waveforms import Waveform, generate
 

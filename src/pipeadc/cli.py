@@ -15,13 +15,13 @@ from pathlib import Path
 
 from . import reports
 from .config import ConfigError, N_BITS, PRESETS, gain_to_db, load_config, preset_config
-from .engine import PIPELINE_LATENCY_SAMPLES, PipelineEngine, settle_report
+from .engine import PIPELINE_LATENCY_SAMPLES, PipelineEngine
 # digitize and the metrics are called through solver's sine_report and ramp_report;
 # bench/tracer.py patches them in this module as well, so they stay imported here
 from .correction import correct_result, digitize  # noqa: F401
 from .metrics import coherent_frequency, ramp_linearity, sndr_sfdr_enob, spectrum  # noqa: F401
 from .solver import (ERR_FRACTION, SWEEP_METRICS, min_dc_gain, min_gbw, ramp_report,
-                     sine_report, sweep)
+                     settle_report, sine_report, sweep)
 from .waveforms import KINDS, Waveform, generate
 
 

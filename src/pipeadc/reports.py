@@ -15,9 +15,9 @@ from pathlib import Path
 import numpy as np
 
 from .config import CodeStream
-from .engine import SettleRow, SimulationResult
+from .engine import SimulationResult
 from .metrics import LinearityReport, SpectrumReport
-from .solver import SweepPoint
+from .solver import SettleRow, SweepPoint
 
 CHUNK_ROWS = 1 << 14  # rows held as Python objects at once
 

@@ -1,4 +1,4 @@
-"""Error-budget inversion, the converter's two bench tests, and design-space sweeps.
+"""Error-budget inversion, the converter's three bench tests, and design-space sweeps.
 
 Keeping the total settling error of a stage under half an LSB and splitting
 it evenly between the static (finite gain) and dynamic (finite bandwidth)
@@ -18,9 +18,9 @@ import math
 import os
 from dataclasses import dataclass
 
-from .config import AdcConfig, N_BITS, set_param, validate
+from .config import AdcConfig, N_BITS, N_STAGES, set_param, validate
 from .correction import digitize
-from .engine import PIPELINE_LATENCY_SAMPLES
+from .engine import PIPELINE_LATENCY_SAMPLES, PipelineEngine
 from .metrics import (LinearityReport, SpectrumReport, coherent_frequency, ramp_linearity,
                       sndr_sfdr_enob, spectrum)
 from .waveforms import Waveform, generate
@@ -56,7 +56,7 @@ def min_gbw(beta: float, t_settle: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# the two bench tests, each assembled here only
+# the three bench tests, each assembled here only
 
 
 def sine_report(config: AdcConfig, n_fft: int) -> tuple[SpectrumReport, float]:
@@ -79,6 +79,43 @@ def ramp_report(config: AdcConfig, samples: int) -> LinearityReport:
     wave = Waveform(kind="ramp", length=samples + PIPELINE_LATENCY_SAMPLES,
                     v_low=-vref, v_high=vref)
     return ramp_linearity(digitize(generate(wave, config.clock), config))
+
+
+@dataclass(frozen=True)
+class SettleRow:
+    """One line of the step-settling report."""
+
+    stage: str
+    ideal_mv: float
+    simulated_mv: float
+    error_pct: float
+
+
+def settle_report(config: AdcConfig) -> list[SettleRow]:
+    """Full-swing step experiment: settled level and percent error per slice.
+
+    A -vref to +vref step is applied and held; once the pipe reaches steady
+    state each slice's settled output is compared against its own input (the
+    value a perfect full-scale pass would reproduce), which chains the report
+    exactly like a bench measurement of the setup error: the ideal column of
+    row k is the simulated column of row k-1.
+    """
+    vref = config.reference.vref
+    wave = generate(Waveform(kind="pulse", length=64, v_low=-vref, v_high=vref), config.clock)
+    res = PipelineEngine(config).simulate(wave).residues[-1]
+    rows = []
+    ideal = vref
+    names = ["SHA"] + [f"Stage{k}" for k in range(1, N_STAGES + 1)]
+    for i, name in enumerate(names):
+        sim = float(res[i])
+        if ideal == 0.0:
+            raise ValueError(f"{name}: its input, the {names[i - 1]} output, settled to 0 V, "
+                             "so its percent error is undefined")
+        err_pct = (ideal - sim) / ideal * 100.0
+        rows.append(SettleRow(stage=name, ideal_mv=ideal * 1e3,
+                              simulated_mv=sim * 1e3, error_pct=err_pct))
+        ideal = sim
+    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -28,10 +28,12 @@ STAGES = "src/pipeadc/stages.py"
 METRICS = "src/pipeadc/metrics.py"
 CORRECTION = "src/pipeadc/correction.py"
 CONFIG = "src/pipeadc/config.py"
+SOLVER = "src/pipeadc/solver.py"
 TEST_ENGINE = "tests/test_engine.py"
 TEST_METRICS = "tests/test_metrics.py"
 TEST_CONFIG = "tests/test_config.py"
 TEST_CORRECTION = "tests/test_correction.py"
+TEST_SOLVER = "tests/test_solver.py"
 
 MUTANTS = [
     # (file, old, new, test file that must fail)
@@ -43,11 +45,21 @@ MUTANTS = [
     # the wiring: the amplifier sharing and what each amplification starts from
     (ENGINE, "(ch - 1, True)", "(ch - 1, False)", TEST_ENGINE),
     (ENGINE, "range(1, 3)", "range(1, 2), range(2, 3)", TEST_ENGINE),
-    # the relaxation bookkeeping
+    (ENGINE, "[0.0 if c.clock.reset_enabled else o.k_mem for o in otas]",
+     "[o.k_mem for o in otas]", TEST_ENGINE),
+    # the relaxation bookkeeping: a group without memory into its first
+    # channel takes one sweep, and the last channel's changes decide the rest
     (ENGINE, "MAX_SWEEPS = 64", "MAX_SWEEPS = 2", TEST_ENGINE),
-    (ENGINE, "first = min(first, start + i)", "first = min(first, start + i + 1)", TEST_ENGINE),
-    # reset off with every k_mem 0 is memoryless too: one sweep per group
-    (ENGINE, " or all(k == 0.0 for k in self._kmem)", "", TEST_ENGINE),
+    (ENGINE, "first = start + i", "first = start + i + 1", TEST_ENGINE),
+    (ENGINE, " and self._kmem[group[0]]", "", TEST_ENGINE),
+    (ENGINE, "ch == group[-1]", "ch == group[0]", TEST_ENGINE),
+    # the input bound, the block carry and the overflow check
+    (ENGINE, "INPUT_LIMIT_VREF = 1e6", "INPUT_LIMIT_VREF = 1e7", TEST_ENGINE),
+    (ENGINE, "            buf[:, 0] = cols[:, -1]\n", "", TEST_ENGINE),
+    (ENGINE, "if not np.isfinite(cols[:, -1]).all():", "if False:", TEST_ENGINE),
+    # a sweep point out of its key's domain is named before the stimulus is built
+    (SOLVER, "cfg = validate(set_param(config, axis, value))", "cfg = set_param(config, axis, value)",
+     TEST_SOLVER),
     # the correction: each stage's delay and digit weight, the code offset, the warm-up
     (CORRECTION, "np.clip(acc, 0, 255, out=acc)", "np.clip(acc, 0, 256, out=acc)",
      TEST_CORRECTION),
@@ -87,6 +99,9 @@ EQUIVALENT = [
      "d is -1, 0 or +1, so either grouping of the DAC product is exact"),
     (CORRECTION, "if shift < n:", "if shift <= n:",
      "at shift == n both slices are empty, so the add does nothing either way"),
+    (ENGINE, "if kmem else 0.0", "if True else 0.0",
+     "0.0 times a finite output is +-0.0, for which settle_value gives the same bits, and a "
+     "non-finite one makes the run raise at the same sample either way"),
 ]
 
 

@@ -134,7 +134,8 @@ def test_relaxation_matches_stepped_property(wave, k_mem, gbw, seed, reset, bloc
     assert_bit_identical(fast, stepped(cfg, wave))
     assert 1 <= fast.sweeps <= cap
     assert 0 <= fast.stepped_samples <= 4 * wave.size
-    if reset or not any(k_mem):
+    # a sweep reads the one before only through a group's first channel's memory
+    if reset or not any(k_mem[ch] for ch in (0, 1, 3, 5)):
         assert (fast.sweeps, fast.stepped_samples) == (1, 0)
 
 
@@ -231,15 +232,19 @@ def test_memoryless_preset_takes_one_sweep_per_group(name, monkeypatch):
         assert_bit_identical(fast, stepped(cfg, wave))
 
 
-def test_overflowing_memory_run_matches_stepped(monkeypatch):
-    # With every stage gain at 2 * 1.49 and slow amplifiers that keep their
-    # whole last output, a 1.5 vref input grows the residues until they
-    # overflow to inf and NaN (at sample 15873 here). simulate must refuse
-    # the run, naming the sample where the stepped oracle first goes
-    # non-finite, and match the oracle bit for bit before it. Blocks of
-    # MAX_SWEEPS samples leave that sample to the sweeps of a late block;
-    # in one 16K block the groups hit the cap early and ``_step`` computes it.
-    cfg = memory_config(seed=0, k_mem=1.0, gbw=70e6)
+def assert_overflow_matches_stepped(memory_keys, monkeypatch):
+    """Every stage gain at 2 * 1.49, 70 MHz amplifiers, k_mem 1.0 on memory_keys only.
+
+    A 1.5 vref input then grows the residues until they overflow to inf and
+    NaN. simulate must refuse the run, naming the sample where the stepped
+    oracle first goes non-finite, and match the oracle bit for bit before it.
+    Blocks of MAX_SWEEPS samples leave that sample to the sweeps of a late
+    block; in one 16K block the groups hit the cap early and ``_step``
+    computes it.
+    """
+    cfg = memory_config(seed=0, k_mem=0.0, gbw=70e6)
+    for key in memory_keys:
+        cfg = set_param(cfg, key, 1.0)
     for k in range(6):
         cfg = set_param(cfg, f"stages[{k}].gain_mismatch", 0.49)
     eng = PipelineEngine(cfg)
@@ -258,6 +263,21 @@ def test_overflowing_memory_run_matches_stepped(monkeypatch):
     assert np.array_equal(prefix.decisions, slow.decisions[:first])
     assert np.array_equal(prefix.flash, slow.flash[:first])
     assert np.array_equal(prefix.residues.view(np.int64), slow.residues[:first].view(np.int64))
+    return first
+
+
+def test_overflowing_memory_run_matches_stepped(monkeypatch):
+    # every amplifier keeps its whole last output: overflow at sample 15873
+    assert assert_overflow_matches_stepped(["ota.k_mem"], monkeypatch) == 15873
+
+
+def test_overflow_past_a_memory_loop_matches_stepped(monkeypatch):
+    # Only stages 1 and 2 keep memory. Their loop grows, and stage 6, which
+    # keeps none, is the first to overflow, at sample 16307 while the loop is
+    # still finite; the engine starts stage 6 from 0.0 where the oracle takes
+    # 0.0 times its last output, which differs only once that is non-finite.
+    keys = ["stages[0].ota.k_mem", "stages[1].ota.k_mem"]
+    assert assert_overflow_matches_stepped(keys, monkeypatch) == 16307
 
 
 def test_memory_run_converges_in_few_sweeps():
@@ -267,6 +287,20 @@ def test_memory_run_converges_in_few_sweeps():
     assert 1 < fast.sweeps < MAX_SWEEPS
     assert fast.stepped_samples == 0
     assert_bit_identical(fast, stepped(eng.config, wave))
+
+
+def test_memory_on_a_second_channel_only_takes_one_sweep():
+    # Stage 2 starts from 0.7 of stage 1's output in the same sample, but
+    # stage 1, the first on their amplifier, keeps none of stage 2's: a sweep
+    # reads nothing of the one before, so the first is exact.
+    no_memory = memory_config(seed=3, k_mem=0.0)
+    cfg = set_param(no_memory, "stages[1].ota.k_mem", 0.7)
+    wave = np.sin(np.linspace(0, 31, 2000)) * VREF
+    fast = PipelineEngine(cfg).simulate(wave)
+    assert (fast.sweeps, fast.stepped_samples) == (1, 0)
+    assert_bit_identical(fast, stepped(cfg, wave))
+    memoryless = PipelineEngine(no_memory).simulate(wave)
+    assert not np.array_equal(fast.residues[:, 2], memoryless.residues[:, 2])
 
 
 def test_reset_clears_all_memory():

@@ -8,10 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pipeadc import (OtaParams, PIPELINE_LATENCY_SAMPLES, Waveform, coherent_frequency,
-                     degraded_config, digitize, gain_to_db, generate, ideal_config, min_dc_gain,
-                     min_gbw, ramp_linearity, ramp_report, settle_coefficients, sine_report,
-                     sndr_sfdr_enob, spectrum, sweep)
+from pipeadc import (ConfigError, OtaParams, PIPELINE_LATENCY_SAMPLES, Waveform,
+                     coherent_frequency, default_config, degraded_config, digitize, gain_to_db,
+                     generate, ideal_config, min_dc_gain, min_gbw, ramp_linearity, ramp_report,
+                     settle_coefficients, sine_report, sndr_sfdr_enob, spectrum, sweep)
 import pipeadc.solver
 from pipeadc.config import set_param
 from pipeadc.stages import settle_value
@@ -136,6 +136,15 @@ def test_sweep_invalid_path_or_metric():
         sweep(ideal_config(), "ota.bogus", [1.0], "enob")
     with pytest.raises(ValueError, match="metric"):
         sweep(ideal_config(), "ota.a0_db", [60.0], "snr")
+
+
+@pytest.mark.parametrize("axis,metric", [("clock.fs", "enob"), ("reference.vref", "dnl")])
+def test_sweep_point_out_of_domain_names_its_key(axis, metric):
+    # each point's config is validated before the stimulus is built from it:
+    # unchecked, a negative fs fails in coherent_frequency and a negative vref
+    # in the ramp generator, with messages that name neither key
+    with pytest.raises(ConfigError, match=rf"^{axis}: must be in \(0, inf\)$"):
+        sweep(default_config(), axis, [-1.0], metric, n_fft=256, ramp_samples=2 ** 12)
 
 
 def test_sweep_dnl_metric_runs():
