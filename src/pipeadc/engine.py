@@ -40,8 +40,8 @@ A group still unconverged from sample s on after ``MAX_SWEEPS`` sweeps is
 finished from s one sample at a time on its own (``_step``); the groups
 after it still relax over the whole block. The laws are written once,
 ``sub_adc_decide``, ``mdac_residue``, ``flash2b`` and ``settle_value``; the
-sweeps call them on arrays and the group stepper on floats, with thresholds
-derived once per engine.
+sweeps and the group stepper call them, on arrays and floats, through one stage
+hop, ``_target``, from one row per channel that the engine derives once.
 """
 
 from __future__ import annotations
@@ -59,15 +59,15 @@ from .stages import (comparator_diff, flash2b, flash_thresholds, mdac_residue,  
 PIPELINE_LATENCY_SAMPLES = 7
 
 # Samples per block. A block's residue buffer and its few float64
-# temporaries per stage (128 KB each) stay in cache: 8K-32K blocks run 2^20
-# samples in about the same time, 2K blocks take about 1.7x as long and a
-# single 2^20 block about 3x.
+# temporaries per stage (128 KB each) stay in cache: on a 2-core Xeon
+# (2026-10), 16K and 32K blocks run 2^20 samples in the same time, 8K blocks
+# take 1.15x as long, 2K blocks 2.5x and a single 2^20 block 3.5x.
 BLOCK_SAMPLES = 16384
 
 # Sweeps one amplifier group may take in a block before ``_step`` finishes
 # the group. A stage pair's sweep over a full block costs about as much as
-# stepping that pair over 51-56 samples (0.18-0.21 ms against 3.4-4.0 us a
-# sample on a 2-core Xeon), so a group that stalls costs at most about 1.2x
+# stepping that pair over 45-51 samples (0.14-0.16 ms against 3.0-3.3 us a
+# sample on a 2-core Xeon, 2026-10), so a group that stalls costs at most 1.2x
 # stepping it outright; the degraded preset converges within the cap at
 # every k_mem <= 1 from 250 MHz GBW up, and at k_mem <= 0.5 from 100 MHz up.
 MAX_SWEEPS = 64
@@ -102,33 +102,39 @@ class SimulationResult:
     stepped_samples: int = 0
 
 
+def _target(u, hi, lo, gain, step):
+    """One stage hop on inputs u, arrays or floats: (decisions, MDAC target)."""
+    d = sub_adc_decide(u, hi, lo)
+    return d, mdac_residue(u, d, gain, step)
+
+
 class PipelineEngine:
-    """Compiled form of one AdcConfig: comparator thresholds, settling coefficients, wiring.
+    """Compiled form of one AdcConfig: one row per channel, the flash thresholds, the wiring.
 
     The engine is immutable after construction and keeps no run state, so
-    one engine can serve many runs. Per-amplifier lists are indexed by
-    channel: 0 is the SHA, k is stage k; the comparator thresholds ``_thr``
-    by stage, stage k's (hi, lo) at k - 1.
+    one engine can serve many runs, and no run reads ``config``. ``_ch`` is
+    indexed by channel, 0 the SHA and k stage k.
     """
 
     def __init__(self, config: AdcConfig):
         self.config = validate(config)
         c = self.config
-        self.vref = c.reference.vref
-        otas = [c.sha.ota] + [st.ota for st in c.stages]
-        self._g, self._e = zip(*(settle_coefficients(o, c.clock.t_settle) for o in otas))
-        # the reset phase discharges every output: no amplifier keeps any of it
-        self._kmem = [0.0 if c.clock.reset_enabled else o.k_mem for o in otas]
-        self._thr = [sub_adc_thresholds(st, self.vref) for st in c.stages]
-        self._flash_thr = flash_thresholds(c.flash_offsets, self.vref)
+        self.vref = vref = c.reference.vref
+        self._flash_thr = flash_thresholds(c.flash_offsets, vref)
         # The amplifier sharing, stated once: one relaxation group per
         # amplifier, in chain order, as no amplifier feeds an earlier one.
         self._groups = [range(0, 1), range(1, 3), range(3, 5), range(5, 7)]
-        # channel -> (channel whose output sets its v_init, same sample?): a
-        # group's first channel inherits its last channel's output of the
-        # sample before, every other channel its predecessor's of the same one
-        self._mem_src = {ch: (ch - 1, True) if ch > g[0] else (g[-1], False)
-                         for g in self._groups for ch in g}
+        # One row per channel: (g, e); k_mem, 0.0 when the reset phase discharges
+        # every output; the channel whose output sets v_init, and whether of the
+        # same sample (a group's first channel takes its last one's of the sample
+        # before, any other its predecessor's of the same); a stage's hop.
+        amps = [c.sha] + list(c.stages)
+        hops = [None] + [(*sub_adc_thresholds(st, vref), 2.0 * (1.0 + st.gain_mismatch),
+                          (1.0 + st.dac_mismatch) * vref) for st in c.stages]
+        self._ch = [(*settle_coefficients(amps[ch].ota, c.clock.t_settle),
+                     0.0 if c.clock.reset_enabled else amps[ch].ota.k_mem,
+                     *((ch - 1, True) if ch > g[0] else (g[-1], False)), hops[ch])
+                    for g in self._groups for ch in g]
 
     # -- batch driver ----------------------------------------------------------
 
@@ -194,7 +200,9 @@ class PipelineEngine:
         n, most, stepped = v.size, 0, 0
         for group in self._groups:  # its upstream is final: decide once, not per sweep
             k = group[0]
-            target = v if k == 0 else self._target(k, cols[k - 1, :n], decisions)
+            target = v
+            if k:  # a stage: its hop is the last field of its row
+                decisions[:, k - 1], target = _target(cols[k - 1, :n], *self._ch[k][-1])
             start = sweeps = 0
             while start < n and sweeps < MAX_SWEEPS:
                 # the first changed sample was computed from final inputs: it is final too
@@ -215,23 +223,21 @@ class PipelineEngine:
         decide on their predecessor. Writes decisions[start:] and
         cols[group, 1 + start:]. ``cols`` holds the previous pass, final
         before ``start``, and v_init is k_mem times the output the amplifier
-        last put out in sample order (``_mem_src``), or 0.0 where k_mem is 0.
+        last put out in sample order (its memory source), or 0.0 where k_mem is 0.
         Returns the first sample at which the last channel changed bits, as
         it feeds the first one sample later; the pass length when none did,
         or when the first channel keeps no memory.
         """
         first = cols.shape[1] - 1
         for ch in group:
+            g, e, kmem, src, same_step, hop = self._ch[ch]
             if ch == group[0]:
-                target = target[start:]
+                target, first_kmem = target[start:], kmem
             else:
-                target = self._target(ch, cols[ch - 1, start:-1], decisions[start:])
-            src, same_step = self._mem_src[ch]
+                decisions[start:, ch - 1], target = _target(cols[ch - 1, start:-1], *hop)
             prev_out = cols[src, 1 + start:] if same_step else cols[src, start:-1]
-            kmem = self._kmem[ch]
-            settled = settle_value(target, kmem * prev_out if kmem else 0.0, self._g[ch],
-                                   self._e[ch])
-            if ch == group[-1] and self._kmem[group[0]]:
+            settled = settle_value(target, kmem * prev_out if kmem else 0.0, g, e)
+            if ch == group[-1] and first_kmem:
                 diff = settled.view(np.int64) != cols[ch, 1 + start:].view(np.int64)
                 i = int(diff.argmax())
                 if diff[i]:
@@ -240,12 +246,6 @@ class PipelineEngine:
             del settled  # freed before the next channel allocates: 3% faster on 4K samples
         return first
 
-    def _target(self, k: int, u: np.ndarray, decisions: np.ndarray) -> np.ndarray:
-        """Stage k's MDAC target for inputs u; stores its decisions in decisions[:, k - 1]."""
-        d = sub_adc_decide(u, *self._thr[k - 1])
-        decisions[:, k - 1] = d
-        return mdac_residue(u, d, self.config.stages[k - 1], self.vref)
-
     def _step(self, group: range, target: np.ndarray, start: int, decisions: np.ndarray,
               cols: np.ndarray) -> None:
         """Finish ``group`` from block sample ``start`` one sample at a time, on floats.
@@ -253,25 +253,22 @@ class PipelineEngine:
         Takes the arguments of ``_sweep`` and writes what its fixed point
         would: decisions[start:] and cols[group, 1 + start:]. Each sample
         runs the group's channels in order, so an amplifier's previous output
-        is final when read from ``cols`` through ``_mem_src``. v_init is k_mem
-        times that output, +-0.0 where k_mem is 0, which settles as 0.0 does.
+        is final when read from ``cols`` via its memory source. v_init is
+        k_mem times that output, +-0.0 where k_mem is 0, which settles as 0.0 does.
         """
         rows = {ch: cols[ch].tolist() for ch in group}
         targets = target.tolist()
         digits = {k: [] for k in group[1:]}
         for i in range(start, len(targets)):
             for ch in group:
+                g, e, kmem, src, same_step, hop = self._ch[ch]
                 if ch == group[0]:
                     t = targets[i]
                 else:
-                    u = rows[ch - 1][i]
-                    d = sub_adc_decide(u, *self._thr[ch - 1])
+                    d, t = _target(rows[ch - 1][i], *hop)
                     digits[ch].append(d)
-                    t = mdac_residue(u, d, self.config.stages[ch - 1], self.vref)
-                src, same_step = self._mem_src[ch]
                 prev_out = rows[src][i + 1 if same_step else i]
-                rows[ch][i + 1] = settle_value(t, self._kmem[ch] * prev_out, self._g[ch],
-                                               self._e[ch])
+                rows[ch][i + 1] = settle_value(t, kmem * prev_out, g, e)
         for ch in group:
             cols[ch, 1 + start:] = rows[ch][1 + start:]
         for k, ds in digits.items():

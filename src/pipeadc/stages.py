@@ -103,15 +103,17 @@ def sub_adc_decide(vin, hi: float, lo: float):
     return _flag(vin >= hi) - _flag(vin < lo)
 
 
-def mdac_residue(vin, d, stage: StageParams, vref: float):
-    """Ideal multiply-by-2 residue before settling: 2*(1+eps_g)*vin - d*(1+eps_d)*vref.
+def mdac_residue(vin, d, gain: float, step: float):
+    """Ideal multiply-by-2 residue before settling: gain*vin - d*step.
 
-    d in {-1, 0, +1} is the decision on vin. Elementwise on arrays; every
-    engine path calls it, so all share its float operations and their order.
-    It works in place in its own first temporary, never in vin or d.
+    A stage's gain 2*(1+eps_g) and DAC step (1+eps_d)*vref are fabrication
+    constants, which the engine derives once per config. d in {-1, 0, +1} is
+    the decision on vin. Elementwise on arrays; every engine path calls it,
+    so all share its float operations and their order. It works in place in
+    its own first temporary, never in vin or d.
     """
-    out = (2.0 * (1.0 + stage.gain_mismatch)) * vin
-    out -= d * ((1.0 + stage.dac_mismatch) * vref)
+    out = gain * vin
+    out -= d * step
     return out
 
 

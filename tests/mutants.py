@@ -31,6 +31,7 @@ CONFIG = "src/pipeadc/config.py"
 SOLVER = "src/pipeadc/solver.py"
 TEST_ENGINE = "tests/test_engine.py"
 TEST_METRICS = "tests/test_metrics.py"
+TEST_STAGES = "tests/test_stages.py"
 TEST_CONFIG = "tests/test_config.py"
 TEST_CORRECTION = "tests/test_correction.py"
 TEST_SOLVER = "tests/test_solver.py"
@@ -41,17 +42,28 @@ MUTANTS = [
     (STAGES, "_flag(vin >= hi)", "_flag(vin > hi)", TEST_ENGINE),
     (STAGES, "(strict and err == 0.0)", "(not strict and err == 0.0)", TEST_ENGINE),
     (STAGES, "out = v_init - v_static\n    out *= e\n    out += v_static",
-     "out = e * v_init + (1.0 - e) * v_static", "tests/test_stages.py"),
+     "out = e * v_init + (1.0 - e) * v_static", TEST_STAGES),
+    (STAGES, "g = 1.0 / (1.0 + 1.0 / (ota.beta * ota.a0))",
+     "g = ota.beta * ota.a0 / (1.0 + ota.beta * ota.a0)", TEST_STAGES),
+    (STAGES, "math.exp(-t * (2.0 * math.pi * ota.beta * ota.gbw))",
+     "math.exp(-t * (2.0 * math.pi * ota.gbw))", TEST_STAGES),
+    # the exact thresholds: TwoSum's rounding error, and crossing thresholds clamped
+    (STAGES, "err = (a - (s - b_part)) + (b - b_part)", "err = 0.0", TEST_ENGINE),
+    (STAGES, "min(_above(stage.cmp_offset_lo, -q, False), hi)",
+     "_above(stage.cmp_offset_lo, -q, False)", TEST_ENGINE),
+    # the MDAC coefficients, derived once per engine and once more by the oracle
+    (ENGINE, "2.0 * (1.0 + st.gain_mismatch)", "2.0 * (1.0 - st.gain_mismatch)", TEST_ENGINE),
+    (ENGINE, "(1.0 + st.dac_mismatch) * vref", "(1.0 - st.dac_mismatch) * vref", TEST_ENGINE),
     # the wiring: the amplifier sharing and what each amplification starts from
     (ENGINE, "(ch - 1, True)", "(ch - 1, False)", TEST_ENGINE),
     (ENGINE, "range(1, 3)", "range(1, 2), range(2, 3)", TEST_ENGINE),
-    (ENGINE, "[0.0 if c.clock.reset_enabled else o.k_mem for o in otas]",
-     "[o.k_mem for o in otas]", TEST_ENGINE),
+    (ENGINE, "0.0 if c.clock.reset_enabled else amps[ch].ota.k_mem", "amps[ch].ota.k_mem",
+     TEST_ENGINE),
     # the relaxation bookkeeping: a group without memory into its first
     # channel takes one sweep, and the last channel's changes decide the rest
     (ENGINE, "MAX_SWEEPS = 64", "MAX_SWEEPS = 2", TEST_ENGINE),
     (ENGINE, "first = start + i", "first = start + i + 1", TEST_ENGINE),
-    (ENGINE, " and self._kmem[group[0]]", "", TEST_ENGINE),
+    (ENGINE, " and first_kmem:", ":", TEST_ENGINE),
     (ENGINE, "ch == group[-1]", "ch == group[0]", TEST_ENGINE),
     # the input bound, the block carry and the overflow check
     (ENGINE, "INPUT_LIMIT_VREF = 1e6", "INPUT_LIMIT_VREF = 1e7", TEST_ENGINE),
@@ -83,20 +95,28 @@ MUTANTS = [
     (METRICS, "hit[-1] - hit[0] < FULL_SCALE_CODES // 2",
      "hit[-1] - hit[0] <= FULL_SCALE_CODES // 2", TEST_METRICS),
     (METRICS, "    inl[0] = 0.0\n", "", TEST_METRICS),
+    (METRICS, "di = int(np.argmax(np.abs(dnl[1:FULL_SCALE_CODES - 1]))) + 1",
+     "di = int(np.argmax(np.abs(dnl[1:FULL_SCALE_CODES - 1])))", TEST_METRICS),
+    # a coherent bin halfway between two odd bins takes the upper one
+    (METRICS, "(hi - m_real) <= (m_real - lo)", "(hi - m_real) < (m_real - lo)", TEST_METRICS),
     # the declared domains, and how an interval's ends become bounds
     (CONFIG, 'beta: float = _in(0.5, "(0, 1]")', 'beta: float = _in(0.5, "(0, 2]")', TEST_CONFIG),
     (CONFIG, 'gain_mismatch: float = _in(0.0, "(-0.5, 0.5)")',
      'gain_mismatch: float = _in(0.0, "(-0.5, 0.5]")', TEST_CONFIG),
     (CONFIG, 'fs: float = _in(166.6e6, "(0, inf)")', 'fs: float = _in(166.6e6, "(0, inf]")',
      TEST_CONFIG),
+    (CONFIG, 'k_mem: float = _in(0.0, "[0, 1]")', 'k_mem: float = _in(0.0, "[0, 2]")',
+     TEST_CONFIG),
+    (CONFIG, 'settle_fraction: float = _in(0.387, "(0, 0.5]")',
+     'settle_fraction: float = _in(0.387, "(0, 0.5)")', TEST_CONFIG),
+    # a tuple key one past the end is an unknown key, not an append
+    (CONFIG, "key < len(node)", "key <= len(node)", TEST_CONFIG),
     (CONFIG, 'lo = math.nextafter(lo, math.inf) if interval[0] == "(" else lo', "", TEST_CONFIG),
     (CONFIG, "if isinstance(value, (int, float)) and value in (0, 1):", "if False:", TEST_CONFIG),
 ]
 
 EQUIVALENT = [
     # (file, old, new, why no test can tell them apart)
-    (STAGES, "d * ((1.0 + stage.dac_mismatch) * vref)", "(d * (1.0 + stage.dac_mismatch)) * vref",
-     "d is -1, 0 or +1, so either grouping of the DAC product is exact"),
     (CORRECTION, "if shift < n:", "if shift <= n:",
      "at shift == n both slices are empty, so the add does nothing either way"),
     (ENGINE, "if kmem else 0.0", "if True else 0.0",

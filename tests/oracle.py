@@ -1,9 +1,10 @@
-"""Sequential reference for the engine: the chain stepped one sample at a time.
+"""Two references for the engine: the chain stepped one sample at a time, and a certificate check.
 
-It calls the stage laws but none of the engine's wiring: the amplifier each
-stage uses comes from its own table below and the comparator thresholds from
-its own calls of the threshold laws, so a fault in the engine's memory
-sources, relaxation groups or thresholds shows up as a difference.
+Both call the stage laws but none of the engine's wiring: the amplifier each
+stage uses comes from their own table below, and the comparator thresholds,
+MDAC gains and DAC steps from their own derivations from the config, so a
+fault in the engine's memory sources, relaxation groups, thresholds or
+coefficients shows up as a difference.
 """
 
 import numpy as np
@@ -14,6 +15,12 @@ from pipeadc.stages import flash_thresholds, settle_value, sub_adc_thresholds
 
 # channel -> amplifier: the SHA has its own, stages (1,2), (3,4), (5,6) share one each
 AMPLIFIER = (0, 1, 1, 2, 2, 3, 3)
+
+
+def _hop(stage, vref):
+    """A stage's thresholds (hi, lo), MDAC gain 2(1 + eps_g) and DAC step (1 + eps_d) vref."""
+    return (*sub_adc_thresholds(stage, vref), 2.0 * (1.0 + stage.gain_mismatch),
+            (1.0 + stage.dac_mismatch) * vref)
 
 
 def stepped(config, wave):
@@ -29,7 +36,7 @@ def stepped(config, wave):
     reset = config.clock.reset_enabled
     amps = [config.sha] + list(config.stages)
     coeffs = [settle_coefficients(amp.ota, config.clock.t_settle) for amp in amps]
-    thresholds = [None] + [sub_adc_thresholds(st, vref) for st in config.stages]
+    hops = [None] + [_hop(st, vref) for st in config.stages]
     flash_thr = flash_thresholds(config.flash_offsets, vref)
     last = [0.0] * (max(AMPLIFIER) + 1)  # last output put out on each amplifier
     wave = np.asarray(wave, dtype=np.float64)
@@ -45,11 +52,56 @@ def stepped(config, wave):
             if k == 0:
                 target = vin
             else:
-                d = sub_adc_decide(prev[k - 1], *thresholds[k])
+                hi, lo, gain, step = hops[k]
+                d = sub_adc_decide(prev[k - 1], hi, lo)
                 decisions[i, k - 1] = d
-                target = mdac_residue(prev[k - 1], d, amp, vref)
+                target = mdac_residue(prev[k - 1], d, gain, step)
             v_init = 0.0 if reset else amp.ota.k_mem * last[AMPLIFIER[k]]
             last[AMPLIFIER[k]] = settle_value(target, v_init, *coeffs[k])
             out.append(last[AMPLIFIER[k]])
         residues[i] = prev = out
     return SimulationResult(vin=wave, decisions=decisions, flash=flash, residues=residues)
+
+
+def certify(config, wave, result):
+    """Check that ``result`` solves every per-sample equation of the chain, bit for bit.
+
+    Each equation is the one ``stepped`` evaluates, with every earlier value
+    read from ``result`` itself (zeros before the first sample): the flash
+    code and each stage's decision on the sample before, and each channel's
+    settled value, which starts from k_mem times the last output on its
+    amplifier, an earlier channel's of the same sample or else the last
+    channel's on it of the sample before. The chain is causal, so by
+    induction on the sample index a result that passes is the sequential
+    one. One array pass per channel; raises AssertionError naming the first
+    sample of the first equation that fails.
+    """
+    vref = config.reference.vref
+    amps = [config.sha] + list(config.stages)
+    wave = np.asarray(wave, dtype=np.float64)
+    res = result.residues
+
+    def before(k):  # channel k's output of each sample's previous sample
+        return np.concatenate(([0.0], res[:-1, k]))
+
+    checks = [("flash", result.flash,
+               flash2b(before(N_STAGES), flash_thresholds(config.flash_offsets, vref)))]
+    for k, amp in enumerate(amps):
+        if k == 0:
+            target = wave
+        else:
+            hi, lo, gain, step = _hop(amp, vref)
+            u = before(k - 1)
+            d = sub_adc_decide(u, hi, lo)
+            checks.append((f"stage {k} decision", result.decisions[:, k - 1], d))
+            target = mdac_residue(u, d, gain, step)
+        shared = [j for j in range(N_STAGES + 1) if AMPLIFIER[j] == AMPLIFIER[k]]
+        earlier = [j for j in shared if j < k]
+        last = res[:, earlier[-1]] if earlier else before(shared[-1])
+        v_init = 0.0 if config.clock.reset_enabled else amp.ota.k_mem * last
+        settled = settle_value(target, v_init, *settle_coefficients(amp.ota, config.clock.t_settle))
+        checks.append((f"channel {k} residue", res[:, k].view(np.int64), settled.view(np.int64)))
+    for name, got, want in checks:
+        bad = np.flatnonzero(got != want)
+        if bad.size:
+            raise AssertionError(f"{name} fails at sample {bad[0]} of {wave.size}")

@@ -1,9 +1,10 @@
+import dataclasses
 import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -15,7 +16,7 @@ from pipeadc.config import PRESETS, config_to_text, preset_config, set_param
 from pipeadc.engine import MAX_SWEEPS
 from pipeadc.stages import flash_thresholds, sub_adc_thresholds
 
-from oracle import stepped
+from oracle import certify, stepped
 
 VREF = 0.6
 
@@ -108,10 +109,9 @@ def test_vectorized_path_matches_stepped_path():
     assert (fast.sweeps, fast.stepped_samples) == (1, 0)
 
 
-# no shrinking: each shrink step reruns the per-sample oracle, and shrinking
-# a failure took minutes where finding it took seconds
-@settings(derandomize=True, deadline=None, max_examples=80, database=None,
-          phases=[Phase.explicit, Phase.reuse, Phase.generate])
+# checked by the certificate, so that shrinking a failure takes seconds, not
+# the minutes it took when each shrink step reran the per-sample oracle
+@settings(derandomize=True, deadline=None, max_examples=80, database=None)
 @given(wave=arrays(np.float64, st.integers(1, 300), elements=st.floats(-0.7, 0.7)),
        k_mem=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1.0)), min_size=7, max_size=7),
        gbw=st.floats(100e6, 2e9),
@@ -131,12 +131,90 @@ def test_relaxation_matches_stepped_property(wave, k_mem, gbw, seed, reset, bloc
         mp.setattr(engine, "BLOCK_SAMPLES", block)
         mp.setattr(engine, "MAX_SWEEPS", cap)
         fast = eng.simulate(wave)
-    assert_bit_identical(fast, stepped(cfg, wave))
+    certify(cfg, wave, fast)
     assert 1 <= fast.sweeps <= cap
     assert 0 <= fast.stepped_samples <= 4 * wave.size
     # a sweep reads the one before only through a group's first channel's memory
     if reset or not any(k_mem[ch] for ch in (0, 1, 3, 5)):
         assert (fast.sweeps, fast.stepped_samples) == (1, 0)
+
+
+@pytest.mark.parametrize("cfg", [preset_config(name) for name in sorted(PRESETS)] + [
+    memory_config(seed=0, k_mem=1.0, gbw=200e6),
+    memory_config(seed=3, k_mem=0.5, gbw=1e6),
+    set_param(memory_config(seed=3, k_mem=0.0), "stages[1].ota.k_mem", 0.7),
+    set_param(memory_config(seed=1, k_mem=1.0), "clock.reset_enabled", True),
+], ids=sorted(PRESETS) + ["200MHz", "1MHz", "second-channel", "reset"])
+def test_certificate_agrees_with_stepped(cfg):
+    # The two oracles agree: the literal sequential run solves every
+    # per-sample equation, and so does the engine's result, bit-identical to it.
+    wave = np.sin(np.linspace(0, 31, 3 * MAX_SWEEPS)) * 0.9 * VREF
+    slow = stepped(cfg, wave)
+    certify(cfg, wave, slow)
+    fast = PipelineEngine(cfg).simulate(wave)
+    certify(cfg, wave, fast)
+    assert_bit_identical(fast, slow)
+
+
+def test_certificate_rejects_one_ulp():
+    # one ulp on any one residue, one decision or one flash code breaks an equation
+    cfg = memory_config(seed=0, k_mem=1.0, gbw=200e6)
+    wave = np.sin(np.linspace(0, 31, 500)) * 0.9 * VREF
+    good = stepped(cfg, wave)
+    for ch in range(7):
+        residues = good.residues.copy()
+        residues[321, ch] = np.nextafter(residues[321, ch], np.inf)
+        with pytest.raises(AssertionError, match="fails at sample 32[12] of 500$"):
+            certify(cfg, wave, dataclasses.replace(good, residues=residues))
+    residues = good.residues.copy()
+    residues[-1, 0] = np.nextafter(residues[-1, 0], -np.inf)
+    with pytest.raises(AssertionError, match="^channel 0 residue fails at sample 499 of 500$"):
+        certify(cfg, wave, dataclasses.replace(good, residues=residues))
+    decisions = good.decisions.copy()
+    decisions[40, 2] += 1 if decisions[40, 2] < 1 else -1
+    with pytest.raises(AssertionError, match="^stage 3 decision fails at sample 40 of 500$"):
+        certify(cfg, wave, dataclasses.replace(good, decisions=decisions))
+    flash = good.flash.copy()
+    flash[7] ^= 1
+    with pytest.raises(AssertionError, match="^flash fails at sample 7 of 500$"):
+        certify(cfg, wave, dataclasses.replace(good, flash=flash))
+
+
+@pytest.mark.parametrize("gbw,kind", [(200e6, "sine"), (100e6, "sine"), (30e6, "sine"),
+                                      (200e6, "ramp")])
+def test_cap_binding_run_is_certified(gbw, kind):
+    # 2^16 samples, too long for the per-sample oracle in a unit test: every
+    # group hits the sweep cap in some block and ``_step`` finishes it
+    n = 2 ** 16
+    wave = (0.9 * VREF * np.sin(2 * np.pi * 1031 / n * np.arange(n) + 0.3) if kind == "sine"
+            else np.linspace(-0.9 * VREF, 0.9 * VREF, n))
+    cfg = memory_config(seed=0, k_mem=1.0, gbw=gbw)
+    fast = PipelineEngine(cfg).simulate(wave)
+    assert fast.sweeps == MAX_SWEEPS and fast.stepped_samples > n
+    certify(cfg, wave, fast)
+
+
+def test_long_memory_run_is_certified():
+    # 2^20 samples, 64 blocks, at the memory-sweep workload's 500 MHz
+    n = 2 ** 20
+    wave = 0.95 * VREF * np.sin(2 * np.pi * 8191 / n * np.arange(n))
+    cfg = memory_config(seed=5, k_mem=1.0, gbw=500e6)
+    fast = PipelineEngine(cfg).simulate(wave)
+    assert 1 < fast.sweeps < MAX_SWEEPS
+    certify(cfg, wave, fast)
+
+
+def test_runs_read_only_the_compiled_table():
+    # A run reads the engine's per-channel table, never its config: with the
+    # config gone, the sweeps and ``_step`` give the same bits as before.
+    eng = PipelineEngine(memory_config(seed=0, k_mem=1.0, gbw=100e6))
+    wave = 0.9 * VREF * np.sin(np.arange(20000) * 0.2)
+    first = eng.simulate(wave)
+    eng.config = None
+    again = eng.simulate(wave)
+    assert again.stepped_samples > 0
+    assert (again.sweeps, again.stepped_samples) == (first.sweeps, first.stepped_samples)
+    assert_bit_identical(again, first)
 
 
 def test_relaxation_hits_sweep_cap_and_stays_exact():

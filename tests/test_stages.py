@@ -13,6 +13,7 @@ from pipeadc.stages import comparator_diff, flash_thresholds, settle_value, sub_
 VREF = 0.6
 IDEAL_STAGE = StageParams()
 IDEAL_THR = sub_adc_thresholds(IDEAL_STAGE, VREF)
+IDEAL_GAIN, IDEAL_STEP = 2.0, VREF  # an ideal stage's MDAC gain and DAC step
 ZERO_FLASH_THR = flash_thresholds((0.0, 0.0, 0.0), VREF)
 
 
@@ -229,23 +230,26 @@ def test_comparator_arrays_equal_scalar_calls():
 
 
 def test_residue_examples():
-    assert mdac_residue(0.0, 0, IDEAL_STAGE, VREF) == 0.0
-    assert mdac_residue(VREF / 2.0, 1, IDEAL_STAGE, VREF) == pytest.approx(0.0, abs=1e-15)
-    assert mdac_residue(0.3, 1, IDEAL_STAGE, 0.6) == pytest.approx(0.0, abs=1e-15)
+    assert mdac_residue(0.0, 0, IDEAL_GAIN, IDEAL_STEP) == 0.0
+    assert mdac_residue(VREF / 2.0, 1, IDEAL_GAIN, IDEAL_STEP) == pytest.approx(0.0, abs=1e-15)
+    assert mdac_residue(0.3, 1, 2.0, 0.6) == pytest.approx(0.0, abs=1e-15)
+    assert mdac_residue(0.1, 1, IDEAL_GAIN, IDEAL_STEP) == 2.0 * 0.1 - VREF
 
 
 def test_residue_mismatch_terms():
-    stage = StageParams(gain_mismatch=0.01, dac_mismatch=-0.02)
-    got = mdac_residue(0.1, -1, stage, VREF)
-    assert got == pytest.approx(2.0 * 1.01 * 0.1 + 0.98 * VREF, rel=1e-12)
+    # gain 2(1 + eps_g) and step (1 + eps_d) vref at eps_g = 0.01, eps_d = -0.02
+    gain, step = 2.02, 0.98 * VREF
+    got = mdac_residue(0.1, -1, gain, step)
+    assert got == 2.02 * 0.1 + 0.98 * VREF
+    assert mdac_residue(0.1, 0, gain, step) == 2.02 * 0.1
     # the array form, as the engine's sweeps call it with int8 decisions,
     # gives each element the scalar call's bits
     rng = np.random.default_rng(5)
     vin = rng.uniform(-2 * VREF, 2 * VREF, 5000)
     d = rng.integers(-1, 2, vin.size).astype(np.int8)
     vin_bits, d_bits = vin.copy(), d.copy()
-    got = mdac_residue(vin, d, stage, VREF)
-    want = np.array([mdac_residue(x, int(k), stage, VREF) for x, k in zip(vin.tolist(), d)])
+    got = mdac_residue(vin, d, gain, step)
+    want = np.array([mdac_residue(x, int(k), gain, step) for x, k in zip(vin.tolist(), d)])
     assert got.dtype == np.float64
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
     # the law never writes into its arguments: the engine passes buffer views
@@ -284,7 +288,7 @@ def test_residue_bounded_with_ideal_decisions():
     v = np.linspace(-VREF, VREF, 100001)
     for vin in v:
         d = sub_adc_decide(vin, *IDEAL_THR)
-        r = mdac_residue(vin, d, IDEAL_STAGE, VREF)
+        r = mdac_residue(vin, d, IDEAL_GAIN, IDEAL_STEP)
         assert abs(r) <= VREF + 1e-12
 
 
