@@ -25,6 +25,8 @@ from dataclasses import dataclass, field, fields, is_dataclass, replace
 import numpy as np
 
 N_BITS = 8
+FULL_SCALE_CODES = 2 ** N_BITS
+MID_CODE = FULL_SCALE_CODES // 2
 N_STAGES = 6
 N_FLASH_THRESHOLDS = 3
 # Monte Carlo sigmas of the degraded preset's static draws
@@ -152,11 +154,11 @@ class AdcConfig:
 
 @dataclass(frozen=True)
 class CodeStream:
-    """Corrected 8-bit output codes.
+    """Corrected N_BITS-bit output codes.
 
-    codes is an int16 array with every value in [0, 255]. The first
-    ``warmup`` entries were emitted while the pipeline was still filling and
-    must be dropped by any metric.
+    codes is an int16 array, the stages' shift-and-add clipped to
+    [0, FULL_SCALE_CODES - 1]. The first ``warmup`` entries were emitted while
+    the pipeline was still filling and must be dropped by any metric.
     """
 
     codes: np.ndarray

@@ -1,24 +1,23 @@
-"""Redundant-sign-digit correction: align the stage decisions and sum them into 8-bit codes.
+"""Redundant-sign-digit correction: shift-and-add the aligned stage decisions into codes.
 
-Each 1.5-bit stage contributes one signed digit with a one-bit overlap into
-the next stage, so the final code is a weighted overlap-add:
+Each 1.5-bit stage gives one signed digit d_k with a one-bit overlap into the
+next, so a code is the digits read as one binary number (Horner) plus the flash:
 
-    code = 128 + sum_i d_i * 2^(7-i) + (d_flash - 2),  clamped to [0, 255]
+    acc = 2*acc + d_k for k = 1..N_STAGES, from acc = 0
+    code = 2*acc + d_flash + MID_CODE - FLASH_MID, clipped to [0, FULL_SCALE_CODES - 1]
 
-The constants follow from the mid-rise code mapping (an input of 0 sits on
-the 127/128 boundary): with ideal analog the chain then agrees exactly with
-:func:`ideal_quantize` for every input away from code edges, which is the
-test that pins the offsets.
+The offsets follow from the mid-rise code mapping (an input of 0 sits on the
+MID_CODE - 1 / MID_CODE edge): with ideal analog the chain then agrees exactly
+with :func:`ideal_quantize` away from code edges, which is the test that pins them.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .config import AdcConfig, CodeStream, N_STAGES
+from .config import AdcConfig, CodeStream, FULL_SCALE_CODES, MID_CODE, N_STAGES
 from .engine import PIPELINE_LATENCY_SAMPLES, PipelineEngine, SimulationResult
 
-MID_CODE = 128
 FLASH_MID = 2
 
 
@@ -29,19 +28,20 @@ def correct_stream(decisions: np.ndarray, flash: np.ndarray) -> CodeStream:
     the flash decision at step m + 7, so the code assembled at step n combines
     d_k[n - (7 - k)] with flash[n]. Output length equals input length; the
     first PIPELINE_LATENCY_SAMPLES codes mix in the zero-initialized pipe and
-    are flagged as warm-up.
-
-    The codes are int16, which holds every partial sum of int8 decisions
-    and flash exactly, in any layout (the engine's is column-major).
+    are flagged as warm-up. The int16 accumulator holds every partial sum of
+    int8 decisions and flash exactly, in any layout (the engine's is column-major).
     """
     n = len(flash)
-    acc = flash.astype(np.int16)
-    acc += MID_CODE - FLASH_MID
+    acc = np.zeros(n, dtype=np.int16)
     for k in range(1, N_STAGES + 1):
+        acc *= 2
         shift = PIPELINE_LATENCY_SAMPLES - k
         if shift < n:
-            acc[shift:] += decisions[:n - shift, k - 1] * np.int16(1 << (7 - k))
-    codes = np.clip(acc, 0, 255, out=acc)
+            acc[shift:] += decisions[:n - shift, k - 1]
+    acc *= 2
+    acc += flash
+    acc += MID_CODE - FLASH_MID
+    codes = np.clip(acc, 0, FULL_SCALE_CODES - 1, out=acc)
     return CodeStream(codes=codes, warmup=min(n, PIPELINE_LATENCY_SAMPLES))
 
 
@@ -56,14 +56,14 @@ def digitize(waveform, config: AdcConfig) -> CodeStream:
 
 
 def ideal_quantize(vin, vref: float):
-    """Uniform mid-rise 8-bit quantizer over [-vref, +vref).
+    """Uniform mid-rise N_BITS-bit quantizer over [-vref, +vref).
 
-    code = floor((vin + vref) / (2*vref) * 256), clamped to [0, 255].
-    Scalar in, int out; array in, int64 array out. This is the independent
-    reference the corrected pipeline is checked against.
+    code = floor((vin + vref) / (2*vref) * FULL_SCALE_CODES), clamped to
+    [0, FULL_SCALE_CODES - 1]. Scalar in, int out; array in, int64 array out.
+    This is the independent reference the corrected pipeline is checked against.
     """
-    raw = np.floor((vin + vref) / (2.0 * vref) * 256.0)
-    code = np.clip(raw, 0, 255)
+    raw = np.floor((vin + vref) / (2.0 * vref) * FULL_SCALE_CODES)
+    code = np.clip(raw, 0, FULL_SCALE_CODES - 1)
     if np.isscalar(vin):
         return int(code)
     return code.astype(np.int64)

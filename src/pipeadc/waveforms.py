@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ClockParams, N_BITS
+from .config import ClockParams, FULL_SCALE_CODES
 
 KINDS = ("sine", "ramp", "pulse", "dc")
 
@@ -33,7 +33,7 @@ def generate(w: Waveform, clock: ClockParams) -> np.ndarray:
 
     sine:  v[n] = A * sin(2*pi*f*n/fs), so the first sample is exactly 0.
     ramp:  linear from v_low - 1 LSB to v_high + 1 LSB inclusive, where the
-           LSB is (v_high - v_low)/2^8; the overshoot guarantees the end
+           LSB is (v_high - v_low)/FULL_SCALE_CODES; the overshoot guarantees the end
            codes saturate during a code-density test.
     pulse: holds v_low for the first half, steps to v_high at the midpoint.
     dc:    constant at amplitude.
@@ -49,7 +49,7 @@ def generate(w: Waveform, clock: ClockParams) -> np.ndarray:
     if w.kind == "ramp":
         if w.v_high <= w.v_low:
             raise ValueError("ramp requires v_high > v_low")
-        lsb = (w.v_high - w.v_low) / float(2 ** N_BITS)
+        lsb = (w.v_high - w.v_low) / FULL_SCALE_CODES
         lo = w.v_low - lsb
         hi = w.v_high + lsb
         if w.length == 1:

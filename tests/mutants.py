@@ -72,12 +72,14 @@ MUTANTS = [
     # a sweep point out of its key's domain is named before the stimulus is built
     (SOLVER, "cfg = validate(set_param(config, axis, value))", "cfg = set_param(config, axis, value)",
      TEST_SOLVER),
-    # the correction: each stage's delay and digit weight, the code offset, the warm-up
-    (CORRECTION, "np.clip(acc, 0, 255, out=acc)", "np.clip(acc, 0, 256, out=acc)",
-     TEST_CORRECTION),
+    # the correction: each stage's delay, the clip, the code offset, the warm-up, and
+    # the shift-and-add's doubling for each stage and once more before the flash
+    (CORRECTION, "np.clip(acc, 0, FULL_SCALE_CODES - 1, out=acc)",
+     "np.clip(acc, 0, FULL_SCALE_CODES, out=acc)", TEST_CORRECTION),
     (CORRECTION, "shift = PIPELINE_LATENCY_SAMPLES - k", "shift = PIPELINE_LATENCY_SAMPLES - k + 1",
      TEST_CORRECTION),
-    (CORRECTION, "np.int16(1 << (7 - k))", "np.int16(1 << (6 - k))", TEST_CORRECTION),
+    (CORRECTION, "        acc *= 2\n", "", TEST_CORRECTION),
+    (CORRECTION, "    acc *= 2\n    acc += flash", "    acc += flash", TEST_CORRECTION),
     (CORRECTION, "acc += MID_CODE - FLASH_MID", "acc += MID_CODE - FLASH_MID - 1",
      TEST_CORRECTION),
     (CORRECTION, "warmup=min(n, PIPELINE_LATENCY_SAMPLES)",
@@ -85,6 +87,9 @@ MUTANTS = [
     # the measurements: the one-sided scaling leaves DC and Nyquist single
     (METRICS, "power[1:n_fft // 2] *= 2.0", "power[1:n_fft // 2 + 1] *= 2.0", TEST_METRICS),
     (METRICS, "if n_fft < 2 or n_fft & (n_fft - 1):", "if n_fft < 2:", TEST_METRICS),
+    # the histogram's runs start one past each change of code
+    (METRICS, "np.flatnonzero(codes[1:] != codes[:-1]) + 1",
+     "np.flatnonzero(codes[1:] != codes[:-1])", TEST_METRICS),
     (METRICS, "last = FULL_SCALE_CODES - 2", "last = FULL_SCALE_CODES - 3", TEST_METRICS),
     (METRICS, "SIGNAL_GUARD_BINS = 1", "SIGNAL_GUARD_BINS = 2", TEST_METRICS),
     # a capture's DC bin holds only rounding, as the record is mean-removed;

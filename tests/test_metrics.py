@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pipeadc import (CodeStream, PIPELINE_LATENCY_SAMPLES, Waveform,
-                     coherent_frequency, digitize, generate, ideal_config,
+                     coherent_frequency, degraded_config, digitize, generate, ideal_config,
                      ramp_linearity, sndr_sfdr_enob, spectrum)
 
 FS = 166.6e6
@@ -137,6 +137,59 @@ def test_warmup_dropped():
     a = ramp_linearity(synth_stream(codes, warmup=PIPELINE_LATENCY_SAMPLES))
     b = ramp_linearity(synth_stream(poisoned, warmup=PIPELINE_LATENCY_SAMPLES))
     assert np.array_equal(a.dnl, b.dnl)
+
+
+def bincount_linearity(codes):
+    """The documented DNL/INL, extrema and missing codes from a plain bincount histogram."""
+    hist = np.bincount(codes, minlength=256).astype(np.float64)
+    dnl = np.zeros(256)
+    dnl[1:255] = hist[1:255] / hist[1:255].mean() - 1.0
+    raw = np.cumsum(dnl)
+    inl = raw - (raw[1] + (raw[254] - raw[1]) * (np.arange(256) - 1.0) / 253.0)
+    inl[[0, 255]] = 0.0
+    di = int(np.argmax(np.abs(dnl[1:255]))) + 1
+    ii = int(np.argmax(np.abs(inl[1:255]))) + 1
+    missing = tuple(int(k) for k in np.flatnonzero(hist[1:255] == 0) + 1)
+    return dnl, inl, (dnl[di], di), (inl[ii], ii), missing
+
+
+def _long_run_codes():
+    # an ideal ramp: a few hundred runs, each one code up from the last
+    stream = ideal_ramp_stream(2 ** 18)
+    codes = stream.codes[stream.warmup:]
+    assert np.count_nonzero(np.diff(codes)) < 300 and (np.diff(codes) >= 0).all()
+    return codes
+
+
+def _runless_codes():
+    # random codes with every repeat of a neighbour dropped: every run is one code long
+    codes = np.random.default_rng(7).integers(0, 256, 256 * 64)
+    codes = codes[np.r_[True, codes[1:] != codes[:-1]]]
+    assert np.bincount(codes, minlength=256).min() >= 32
+    return codes
+
+
+def _stepping_down_codes():
+    # degraded seed 5's ramp steps back down a code more than a hundred times
+    cfg = degraded_config(seed=5)
+    wave = generate(Waveform(kind="ramp", length=2 ** 16, v_low=-0.6, v_high=0.6), cfg.clock)
+    stream = digitize(wave, cfg)
+    codes = stream.codes[stream.warmup:]
+    assert (np.diff(codes) < 0).sum() > 100
+    return codes
+
+
+@pytest.mark.parametrize("make_codes", [_long_run_codes, _runless_codes, _stepping_down_codes])
+def test_run_count_matches_bincount(make_codes):
+    codes = make_codes()
+    dnl, inl, max_dnl, max_inl, missing = bincount_linearity(codes)
+    report = ramp_linearity(CodeStream(codes=codes))
+    assert np.array_equal(report.dnl, dnl)
+    assert np.allclose(report.inl, inl, rtol=0, atol=1e-12)
+    assert report.max_dnl == max_dnl
+    assert report.max_inl[1] == max_inl[1]
+    assert report.max_inl[0] == pytest.approx(max_inl[0], rel=0, abs=1e-12)
+    assert report.missing_codes == missing
 
 
 # --- spectrum ----------------------------------------------------------------
