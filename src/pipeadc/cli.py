@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from . import reports
-from .config import ConfigError, N_BITS, PRESETS, gain_to_db, load_config, preset_config
+from .config import ConfigError, MDAC_BETA, N_BITS, PRESETS, gain_to_db, load_config, preset_config
 from .engine import PIPELINE_LATENCY_SAMPLES, PipelineEngine
 # digitize and the metrics are called through solver's sine_report and ramp_report;
 # bench/tracer.py patches them in this module as well, so they stay imported here
@@ -104,7 +104,7 @@ def _cmd_spectrum(args) -> int:
 
 def _cmd_specs(args) -> int:
     config = _resolve_config(args)
-    beta = config.stages[0].ota.beta
+    beta = MDAC_BETA
     t_settle = config.clock.t_settle
     gain = min_dc_gain(beta)
     gain_db = gain_to_db(gain)

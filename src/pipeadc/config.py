@@ -28,6 +28,9 @@ N_BITS = 8
 FULL_SCALE_CODES = 2 ** N_BITS
 MID_CODE = FULL_SCALE_CODES // 2
 N_STAGES = 6
+# feedback factors the circuit fixes: the SHA's unity-feedback hold, each flip-around MDAC
+SHA_BETA = 1.0
+MDAC_BETA = 0.5
 N_FLASH_THRESHOLDS = 3
 # Monte Carlo sigmas of the degraded preset's static draws
 GAIN_SIGMA = 1e-3
@@ -74,20 +77,17 @@ class ReferenceConfig:
 
 @dataclass(frozen=True)
 class OtaParams:
-    """Behavioral amplifier: DC gain, gain-bandwidth product, feedback factor, memory.
+    """Behavioral amplifier: DC gain, gain-bandwidth product, memory (the circuit sets beta).
 
     Params:
         a0     - linear DC gain (dimensionless; inf for an ideal amp)
         gbw    - gain-bandwidth product [Hz]
-        beta   - feedback factor in hold mode; 0.5 is the nominal
-                 flip-around multiply-by-2 value, 1.0 the unity-feedback hold
         k_mem  - fraction of the previous settled output left on the output
                  node when the reset phase is disabled
     """
 
     a0: float = _in(17782.794100389227, "[1, inf]")
     gbw: float = _in(2.5e9, "(0, inf]")
-    beta: float = _in(0.5, "(0, 1]")
     k_mem: float = _in(0.0, "[0, 1]")
 
 
@@ -113,7 +113,7 @@ class ClockParams:
 @dataclass(frozen=True)
 class ShaParams:
     """The sample-and-hold: a unity-feedback hold with no sub-ADC or MDAC, so only an amplifier."""
-    ota: OtaParams = OtaParams(beta=1.0)
+    ota: OtaParams = OtaParams()
 
 
 @dataclass(frozen=True)
@@ -233,8 +233,8 @@ def default_config() -> AdcConfig:
 
 def ideal_config() -> AdcConfig:
     """Numerically ideal converter: huge gain and bandwidth, zero mismatch, reset on."""
-    sha = ShaParams(OtaParams(a0=1e9, gbw=1e15, beta=1.0))
-    stage = StageParams(ota=OtaParams(a0=1e9, gbw=1e15, beta=0.5))
+    sha = ShaParams(OtaParams(a0=1e9, gbw=1e15))
+    stage = StageParams(ota=OtaParams(a0=1e9, gbw=1e15))
     return AdcConfig(sha=sha, stages=tuple(stage for _ in range(N_STAGES)))
 
 
@@ -254,8 +254,8 @@ def degraded_config(seed: int = 0) -> AdcConfig:
     not modelled.
     """
     a0 = db_to_gain(67.0)
-    sha = ShaParams(OtaParams(a0=a0, gbw=950e6, beta=1.0))
-    stage = StageParams(ota=OtaParams(a0=a0, gbw=950e6, beta=0.5))
+    sha = ShaParams(OtaParams(a0=a0, gbw=950e6))
+    stage = StageParams(ota=OtaParams(a0=a0, gbw=950e6))
     return with_mismatch(AdcConfig(sha=sha, stages=tuple(stage for _ in range(N_STAGES))), seed)
 
 
@@ -267,8 +267,8 @@ def settling_fit_config() -> AdcConfig:
     growth curve (within 0.5 % of the settled values through stage 4). GBW is
     left at the 2.5 GHz design value, where the dynamic term is negligible.
     """
-    sha = ShaParams(OtaParams(a0=db_to_gain(67.0), gbw=2.5e9, beta=1.0))
-    stage = StageParams(ota=OtaParams(a0=db_to_gain(73.0), gbw=2.5e9, beta=0.5))
+    sha = ShaParams(OtaParams(a0=db_to_gain(67.0), gbw=2.5e9))
+    stage = StageParams(ota=OtaParams(a0=db_to_gain(73.0), gbw=2.5e9))
     return AdcConfig(sha=sha, stages=tuple(stage for _ in range(N_STAGES)))
 
 
@@ -354,7 +354,7 @@ def set_param(config: AdcConfig, path: str, value) -> AdcConfig:
     """Return a copy of config with the dotted-path parameter replaced.
 
     Paths are the config file keys: ``clock.fs``, ``reference.vref``,
-    ``sha.ota.beta``, ``stages[2].gain_mismatch``, ``flash_offsets[0]``. Two
+    ``sha.ota.k_mem``, ``stages[2].gain_mismatch``, ``flash_offsets[0]``. Two
     conveniences: gains may be set in dB through an ``a0_db`` leaf, and the
     prefix ``ota.`` broadcasts one amplifier field to the SHA and all six stages.
     """

@@ -50,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import AdcConfig, N_STAGES, validate
+from .config import AdcConfig, MDAC_BETA, N_STAGES, SHA_BETA, validate
 # comparator_diff is not called here; bench/tracer.py patches it in this module
 from .stages import (comparator_diff, flash2b, flash_thresholds, mdac_residue,  # noqa: F401
                      settle_coefficients, settle_value, sub_adc_decide, sub_adc_thresholds)
@@ -124,17 +124,15 @@ class PipelineEngine:
         # The amplifier sharing, stated once: one relaxation group per
         # amplifier, in chain order, as no amplifier feeds an earlier one.
         self._groups = [range(0, 1), range(1, 3), range(3, 5), range(5, 7)]
-        # One row per channel: (g, e); k_mem, 0.0 when the reset phase discharges
-        # every output; the channel whose output sets v_init, and whether of the
-        # same sample (a group's first channel takes its last one's of the sample
-        # before, any other its predecessor's of the same); a stage's hop.
+        # One row per channel: (g, e), at the feedback factor of the SHA or of a
+        # stage; k_mem, 0.0 when the reset phase discharges every output; a stage's hop.
         amps = [c.sha] + list(c.stages)
         hops = [None] + [(*sub_adc_thresholds(st, vref), 2.0 * (1.0 + st.gain_mismatch),
                           (1.0 + st.dac_mismatch) * vref) for st in c.stages]
-        self._ch = [(*settle_coefficients(amps[ch].ota, c.clock.t_settle),
-                     0.0 if c.clock.reset_enabled else amps[ch].ota.k_mem,
-                     *((ch - 1, True) if ch > g[0] else (g[-1], False)), hops[ch])
-                    for g in self._groups for ch in g]
+        t = c.clock.t_settle
+        self._ch = [(*settle_coefficients(amp.ota, MDAC_BETA if ch else SHA_BETA, t),
+                     0.0 if c.clock.reset_enabled else amp.ota.k_mem, hops[ch])
+                    for ch, amp in enumerate(amps)]
 
     # -- batch driver ----------------------------------------------------------
 
@@ -222,20 +220,22 @@ class PipelineEngine:
         The group's first channel settles toward ``target``; the others
         decide on their predecessor. Writes decisions[start:] and
         cols[group, 1 + start:]. ``cols`` holds the previous pass, final
-        before ``start``, and v_init is k_mem times the output the amplifier
-        last put out in sample order (its memory source), or 0.0 where k_mem is 0.
+        before ``start``. v_init is k_mem times the amplifier's last output, the
+        last channel's of the sample before for the first channel and the
+        predecessor's of the same sample for any other, or 0.0 where k_mem is 0.
         Returns the first sample at which the last channel changed bits, as
         it feeds the first one sample later; the pass length when none did,
         or when the first channel keeps no memory.
         """
         first = cols.shape[1] - 1
         for ch in group:
-            g, e, kmem, src, same_step, hop = self._ch[ch]
+            g, e, kmem, hop = self._ch[ch]
             if ch == group[0]:
                 target, first_kmem = target[start:], kmem
+                prev_out = cols[group[-1], start:-1]
             else:
                 decisions[start:, ch - 1], target = _target(cols[ch - 1, start:-1], *hop)
-            prev_out = cols[src, 1 + start:] if same_step else cols[src, start:-1]
+                prev_out = cols[ch - 1, 1 + start:]
             settled = settle_value(target, kmem * prev_out if kmem else 0.0, g, e)
             if ch == group[-1] and first_kmem:
                 diff = settled.view(np.int64) != cols[ch, 1 + start:].view(np.int64)
@@ -252,8 +252,8 @@ class PipelineEngine:
 
         Takes the arguments of ``_sweep`` and writes what its fixed point
         would: decisions[start:] and cols[group, 1 + start:]. Each sample
-        runs the group's channels in order, so an amplifier's previous output
-        is final when read from ``cols`` via its memory source. v_init is
+        runs the group's channels in order, so each amplifier output it reads,
+        where ``_sweep`` reads it, is already final. v_init is
         k_mem times that output, +-0.0 where k_mem is 0, which settles as 0.0 does.
         """
         rows = {ch: cols[ch].tolist() for ch in group}
@@ -261,13 +261,13 @@ class PipelineEngine:
         digits = {k: [] for k in group[1:]}
         for i in range(start, len(targets)):
             for ch in group:
-                g, e, kmem, src, same_step, hop = self._ch[ch]
+                g, e, kmem, hop = self._ch[ch]
                 if ch == group[0]:
-                    t = targets[i]
+                    t, prev_out = targets[i], rows[group[-1]][i]
                 else:
                     d, t = _target(rows[ch - 1][i], *hop)
                     digits[ch].append(d)
-                prev_out = rows[src][i + 1 if same_step else i]
+                    prev_out = rows[ch - 1][i + 1]
                 rows[ch][i + 1] = settle_value(t, kmem * prev_out, g, e)
         for ch in group:
             cols[ch, 1 + start:] = rows[ch][1 + start:]

@@ -19,10 +19,10 @@ import numpy as np
 from .config import OtaParams, StageParams
 
 
-def settle_coefficients(ota: OtaParams, t: float) -> tuple[float, float]:
+def settle_coefficients(ota: OtaParams, beta: float, t: float) -> tuple[float, float]:
     """Return (g, e): the static fraction of the target reached, and exp(-t/tau).
 
-    A single-pole feedback amplifier settles as
+    With beta the feedback factor the circuit sets, a single-pole amplifier settles as
 
         v(t) = v_static + (v_init - v_static) * exp(-t / tau)
 
@@ -31,8 +31,8 @@ def settle_coefficients(ota: OtaParams, t: float) -> tuple[float, float]:
     is the gain error; the decaying term is the dynamic error. g is computed
     as 1/(1 + 1/(beta*a0)) so an infinite a0 gives exactly 1.0.
     """
-    g = 1.0 / (1.0 + 1.0 / (ota.beta * ota.a0))
-    e = math.exp(-t * (2.0 * math.pi * ota.beta * ota.gbw))
+    g = 1.0 / (1.0 + 1.0 / (beta * ota.a0))
+    e = math.exp(-t * (2.0 * math.pi * beta * ota.gbw))
     return g, e
 
 

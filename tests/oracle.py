@@ -1,10 +1,10 @@
 """Two references for the engine: the chain stepped one sample at a time, and a certificate check.
 
 Both call the stage laws but none of the engine's wiring: the amplifier each
-stage uses comes from their own table below, and the comparator thresholds,
-MDAC gains and DAC steps from their own derivations from the config, so a
-fault in the engine's memory sources, relaxation groups, thresholds or
-coefficients shows up as a difference.
+stage uses and its feedback factor come from their own tables below, and the
+comparator thresholds, MDAC gains and DAC steps from their own derivations
+from the config, so a fault in the engine's memory sources, relaxation
+groups, feedback factors, thresholds or coefficients shows up as a difference.
 """
 
 import numpy as np
@@ -15,6 +15,8 @@ from pipeadc.stages import flash_thresholds, settle_value, sub_adc_thresholds
 
 # channel -> amplifier: the SHA has its own, stages (1,2), (3,4), (5,6) share one each
 AMPLIFIER = (0, 1, 1, 2, 2, 3, 3)
+# channel -> feedback factor: the SHA holds with unity feedback, each MDAC multiplies by 2
+BETA = (1.0, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5)
 
 
 def _hop(stage, vref):
@@ -35,7 +37,8 @@ def stepped(config, wave):
     vref = config.reference.vref
     reset = config.clock.reset_enabled
     amps = [config.sha] + list(config.stages)
-    coeffs = [settle_coefficients(amp.ota, config.clock.t_settle) for amp in amps]
+    coeffs = [settle_coefficients(amp.ota, beta, config.clock.t_settle)
+              for amp, beta in zip(amps, BETA)]
     hops = [None] + [_hop(st, vref) for st in config.stages]
     flash_thr = flash_thresholds(config.flash_offsets, vref)
     last = [0.0] * (max(AMPLIFIER) + 1)  # last output put out on each amplifier
@@ -99,7 +102,8 @@ def certify(config, wave, result):
         earlier = [j for j in shared if j < k]
         last = res[:, earlier[-1]] if earlier else before(shared[-1])
         v_init = 0.0 if config.clock.reset_enabled else amp.ota.k_mem * last
-        settled = settle_value(target, v_init, *settle_coefficients(amp.ota, config.clock.t_settle))
+        coeffs = settle_coefficients(amp.ota, BETA[k], config.clock.t_settle)
+        settled = settle_value(target, v_init, *coeffs)
         checks.append((f"channel {k} residue", res[:, k].view(np.int64), settled.view(np.int64)))
     for name, got, want in checks:
         bad = np.flatnonzero(got != want)

@@ -15,7 +15,7 @@ from pipeadc import (CodeStream, OtaParams, PIPELINE_LATENCY_SAMPLES, PipelineEn
                      gain_to_db, generate, ideal_config, ideal_quantize, min_dc_gain, min_gbw,
                      ramp_report, settle_coefficients, settle_report, sine_report,
                      sndr_sfdr_enob, spectrum)
-from pipeadc.config import set_param
+from pipeadc.config import MDAC_BETA, SHA_BETA, set_param
 from pipeadc.stages import settle_value
 
 from oracle import stepped
@@ -86,7 +86,8 @@ def _first_order_enob(config):
     """ENOB of a memoryless converter built from the documented residue law alone.
 
     Each slice scales its residue by its closed-loop settling factor
-    g*(1 - e), with g = beta*a0/(1 + beta*a0) and e = exp(-2*pi*beta*gbw*t).
+    g*(1 - e), with g = beta*a0/(1 + beta*a0) and e = exp(-2*pi*beta*gbw*t), at
+    the feedback factor of the slice's role: SHA_BETA for the SHA, MDAC_BETA for a stage.
     Decisions are taken at the ideal +-vref/4 thresholds of the ideal chain,
     and stage k's error against the ideal residue 2u - d*vref is referred to
     the input with weight 2^-k. The sum, plus the SHA's own gain error, is
@@ -96,18 +97,18 @@ def _first_order_enob(config):
     t = config.clock.settle_fraction / config.clock.fs
     vref = config.reference.vref
 
-    def scale(ota):
-        g = ota.beta * ota.a0 / (1.0 + ota.beta * ota.a0)
-        e = math.exp(-2.0 * math.pi * ota.beta * ota.gbw * t)
+    def scale(ota, beta):
+        g = beta * ota.a0 / (1.0 + beta * ota.a0)
+        e = math.exp(-2.0 * math.pi * beta * ota.gbw * t)
         return g * (1.0 - e)
 
     f_in, signal_bin = coherent_frequency(config.clock.fs, NFFT, 10.417e6)
     v = generate(Waveform(kind="sine", length=NFFT, amplitude=VREF, frequency=f_in),
                  config.clock)
-    v_eq = scale(config.sha.ota) * v
+    v_eq = scale(config.sha.ota, SHA_BETA) * v
     u = v
     for k, st in enumerate(config.stages, start=1):
-        a = scale(st.ota)
+        a = scale(st.ota, MDAC_BETA)
         d = np.where(u > vref / 4.0, 1, np.where(u < -vref / 4.0, -1, 0))
         err = (2.0 * (a * (1.0 + st.gain_mismatch) - 1.0) * u
                - (a * (1.0 + st.dac_mismatch) - 1.0) * d * vref)
@@ -158,7 +159,7 @@ def test_criterion_6_settling_analytics():
         t = 10.0 ** rng.uniform(-12, -7)
         target = rng.uniform(-1.0, 1.0)
         got = settle_value(target, 0.0,
-                           *settle_coefficients(OtaParams(a0=a0, gbw=gbw, beta=beta), t))
+                           *settle_coefficients(OtaParams(a0=a0, gbw=gbw), beta, t))
         v_static = (beta * a0) / (1.0 + beta * a0) * target
         tau = 1.0 / (2.0 * math.pi * beta * gbw)
         want = v_static * (1.0 - math.exp(-t / tau))

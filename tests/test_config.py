@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from pipeadc import (AdcConfig, ClockParams, ConfigError, OtaParams, ReferenceConfig,
                      StageParams, db_to_gain, default_config, degraded_config, gain_to_db,
-                     ideal_config, parse_config_text, preset_config, set_param,
+                     ideal_config, load_config, parse_config_text, preset_config, set_param,
                      settling_fit_config, validate, with_mismatch)
 from pipeadc.config import N_STAGES, ShaParams, config_to_text
 
@@ -34,12 +34,6 @@ def test_five_stages_rejected():
         validate(c)
 
 
-def test_zero_beta_rejected():
-    bad = set_param(default_config(), "stages[0].ota.beta", 0.0)
-    with pytest.raises(ConfigError, match=r"^stages\[0\]\.ota\.beta: must be in \(0, 1\]$"):
-        validate(bad)
-
-
 @pytest.mark.parametrize("path,value,msg", [
     ("clock.settle_fraction", 0.6, "settle_fraction"),
     ("clock.settle_fraction", 0.0, "settle_fraction"),
@@ -59,7 +53,7 @@ def test_invariant_violations_name_the_field(path, value, msg):
 # config.py, so that a changed declaration fails the edge test below.
 DOMAINS = {
     "vref": "(0, inf)", "fs": "(0, inf)", "settle_fraction": "(0, 0.5]", "reset_enabled": bool,
-    "a0": "[1, inf]", "gbw": "(0, inf]", "beta": "(0, 1]", "k_mem": "[0, 1]",
+    "a0": "[1, inf]", "gbw": "(0, inf]", "k_mem": "[0, 1]",
     "gain_mismatch": "(-0.5, 0.5)", "dac_mismatch": "(-0.5, 0.5)",
     "cmp_offset_hi": "(-inf, inf)", "cmp_offset_lo": "(-inf, inf)", "flash_offsets": "(-inf, inf)",
 }
@@ -86,7 +80,7 @@ def _edge_values(interval):
 def test_every_key_accepts_its_edges_and_rejects_past_them():
     d = default_config()
     keys = [line.split(" = ")[0] for line in config_to_text(d).splitlines()[1:]]
-    assert len(keys) == 59
+    assert len(keys) == 52
     wrong = []
     for key in keys:
         leaf = re.sub(r"\[\d+\]$", "", key).rsplit(".", 1)[-1]
@@ -122,7 +116,7 @@ def _with_stage(i, stage):
 
 
 @pytest.mark.parametrize("config,message", [
-    (AdcConfig(sha=StageParams(ota=OtaParams(beta=1.0))), "sha: expected ShaParams, got StageParams"),
+    (AdcConfig(sha=StageParams()), "sha: expected ShaParams, got StageParams"),
     (AdcConfig(sha=ShaParams(ota=StageParams())), "sha.ota: expected OtaParams, got StageParams"),
     (AdcConfig(stages=(ShaParams(),) * 6), r"stages\[0\]: expected StageParams, got ShaParams"),
     (_with_stage(2, ShaParams()), r"stages\[2\]: expected StageParams, got ShaParams"),
@@ -193,10 +187,10 @@ def test_reset_enabled_rejects_other_numbers(value):
 
 
 def test_error_reports_field_path():
-    bad = set_param(default_config(), "stages[2].ota.beta", -1.0)
+    bad = set_param(default_config(), "stages[2].ota.k_mem", -1.0)
     with pytest.raises(ConfigError) as err:
         validate(bad)
-    assert str(err.value).startswith("stages[2].ota.beta")
+    assert str(err.value).startswith("stages[2].ota.k_mem")
 
 
 def _finite(lo=-1e3, hi=1e3):
@@ -206,7 +200,6 @@ def _finite(lo=-1e3, hi=1e3):
 _otas = st.builds(OtaParams,
                   a0=st.one_of(st.floats(1.0, 1e12), st.just(math.inf)),
                   gbw=st.one_of(st.floats(1.0, 1e15, exclude_min=True), st.just(math.inf)),
-                  beta=st.floats(0.0, 1.0, exclude_min=True),
                   k_mem=st.floats(0.0, 1.0))
 _stages = st.builds(StageParams,
                     gain_mismatch=st.floats(-0.5, 0.5, exclude_min=True, exclude_max=True),
@@ -236,11 +229,22 @@ def test_roundtrip_identity(cfg):
 
 @pytest.mark.parametrize("preset", [default_config(), ideal_config(), degraded_config(seed=3),
                                     settling_fit_config()])
-def test_presets_write_fifty_nine_keys(preset):
+def test_presets_write_fifty_two_keys(preset):
     keys = [line.split(" = ")[0] for line in config_to_text(preset).splitlines()[1:]]
-    assert len(keys) == len(set(keys)) == 59
+    assert len(keys) == len(set(keys)) == 52
     assert [k for k in keys if k.startswith("sha.")] == ["sha.ota.a0", "sha.ota.gbw",
-                                                         "sha.ota.beta", "sha.ota.k_mem"]
+                                                         "sha.ota.k_mem"]
+    # the circuit sets every feedback factor, so no key holds one
+    assert [k for k in keys if k.endswith("beta")] == []
+
+
+# a file saved while the feedback factors were keys is rejected, naming the stale key
+@pytest.mark.parametrize("key", ["stages[0].ota.beta", "sha.ota.beta"])
+def test_saved_beta_line_is_unknown_key(key, tmp_path):
+    path = tmp_path / "saved.cfg"
+    path.write_text(config_to_text(default_config()) + f"{key} = 0.5\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match=f"^unknown key: {re.escape(key)}$"):
+        load_config(path)
 
 
 def test_reference_vcm_is_unknown_key():
@@ -277,6 +281,8 @@ def test_unknown_key_rejected():
     "sha.gain_mismatch", "sha.dac_mismatch", "sha.cmp_offset_hi", "sha.cmp_offset_lo",
     # the mismatch seed is an argument of the degraded preset, not a config value
     "rng_seed",
+    # the circuit sets each amplifier's feedback factor, broadcast or not
+    "ota.beta",
 ])
 def test_non_leaf_and_out_of_range_paths_are_unknown_keys(path):
     with pytest.raises(ConfigError, match=f"^unknown key: {re.escape(path)}$"):
@@ -325,9 +331,6 @@ def test_ota_broadcast_path():
     c = set_param(default_config(), "ota.gbw", 1e9)
     assert c.sha.ota.gbw == 1e9
     assert all(st.ota.gbw == 1e9 for st in c.stages)
-    # broadcasting leaves per-stage beta untouched
-    assert c.sha.ota.beta == 1.0
-    assert c.stages[0].ota.beta == 0.5
 
 
 def test_mismatch_draws_deterministic_and_bounded():
@@ -361,10 +364,6 @@ def test_preset_parameter_anchors():
     assert deg.stages[0].ota.a0 == pytest.approx(db_to_gain(67.0), rel=1e-12)
     assert deg.stages[0].ota.gbw == 950e6
     assert deg.clock.settle_fraction == 0.387
-    # SHA holds with unity feedback in every preset
-    for cfg in (d, deg, ideal_config(), settling_fit_config()):
-        assert cfg.sha.ota.beta == 1.0
-        assert all(st.ota.beta == 0.5 for st in cfg.stages)
 
 
 def test_t_settle_derivation():

@@ -156,6 +156,16 @@ def int64_correction(decisions, flash):
     return np.clip(acc, 0, 255)
 
 
+@pytest.mark.parametrize("digit,rail", [(127, 255), (-128, 0)])
+def test_sums_past_the_rails_clip_to_them(digit, rail):
+    # in-range digits never pass code 255 or 0; these do once every stage's digit is summed
+    decisions = np.full((12, N_STAGES), digit, dtype=np.int8)
+    flash = np.full(12, digit, dtype=np.int8)
+    codes = correct_stream(decisions, flash).codes
+    assert np.array_equal(codes, int64_correction(decisions, flash))
+    assert np.all(codes[PIPELINE_LATENCY_SAMPLES - 1:] == rail)
+
+
 def test_code_stream_metadata():
     cfg = ideal_config()
     stream = digitize(np.zeros(20), cfg)

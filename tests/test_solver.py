@@ -63,10 +63,10 @@ def test_budget_validation(beta, t_settle, name):
 def test_budget_consistency_with_settling():
     # an amplifier built exactly to the solved minimums settles a worst-case
     # full-swing residue to within half an LSB
-    ota = OtaParams(a0=min_dc_gain(0.5), gbw=min_gbw(0.5, T_SETTLE), beta=0.5)
+    ota = OtaParams(a0=min_dc_gain(0.5), gbw=min_gbw(0.5, T_SETTLE))
     vref = 0.6
     lsb = 2 * vref / 256.0
-    settled = settle_value(vref, 0.0, *settle_coefficients(ota, T_SETTLE))
+    settled = settle_value(vref, 0.0, *settle_coefficients(ota, 0.5, T_SETTLE))
     assert abs(settled - vref) <= 0.5 * lsb
 
 

@@ -17,15 +17,15 @@ IDEAL_GAIN, IDEAL_STEP = 2.0, VREF  # an ideal stage's MDAC gain and DAC step
 ZERO_FLASH_THR = flash_thresholds((0.0, 0.0, 0.0), VREF)
 
 
-def settle(target, v_init, ota, t):
-    """Settled amplifier output after time t, as the engine computes it."""
-    g, e = settle_coefficients(ota, t)
+def settle(target, v_init, ota, beta, t):
+    """Settled output of ota at feedback factor beta after time t, as the engine computes it."""
+    g, e = settle_coefficients(ota, beta, t)
     return settle_value(target, v_init, g, e)
 
 
 def sha_hold(vin, sha, clock):
     """SHA output: unity feedback settling toward vin from a reset output node."""
-    return settle(vin, 0.0, sha.ota, clock.t_settle)
+    return settle(vin, 0.0, sha.ota, 1.0, clock.t_settle)
 
 
 def settle_reference(target, v_init, a0, beta, gbw, t):
@@ -37,23 +37,23 @@ def settle_reference(target, v_init, a0, beta, gbw, t):
 
 def test_settle_asymptotic_static_value():
     # a0 = 1e6, beta = 0.5, huge t: output is v_static = (beta*a0/(1+beta*a0)) * 1 V
-    ota = OtaParams(a0=1e6, gbw=1e6, beta=0.5)
-    out = settle(1.0, 0.0, ota, 1.0)
+    ota = OtaParams(a0=1e6, gbw=1e6)
+    out = settle(1.0, 0.0, ota, 0.5, 1.0)
     assert out == pytest.approx(0.999998, abs=1e-6)
 
 
 def test_settle_one_time_constant():
-    ota = OtaParams(a0=1e5, gbw=800e6, beta=0.5)
-    tau = 1.0 / (2.0 * math.pi * ota.beta * ota.gbw)
-    out = settle(0.25, 0.0, ota, tau)
-    g = (ota.beta * ota.a0) / (1.0 + ota.beta * ota.a0)
+    ota, beta = OtaParams(a0=1e5, gbw=800e6), 0.5
+    tau = 1.0 / (2.0 * math.pi * beta * ota.gbw)
+    out = settle(0.25, 0.0, ota, beta, tau)
+    g = (beta * ota.a0) / (1.0 + beta * ota.a0)
     assert out == pytest.approx(0.25 * g * (1.0 - math.exp(-1.0)), rel=1e-12)
 
 
 def test_settle_zero_target_zero_init():
-    ota = OtaParams(a0=1e4, gbw=1e9, beta=0.5)
+    ota = OtaParams(a0=1e4, gbw=1e9)
     for t in (0.0, 1e-12, 1e-9, 1.0):
-        assert settle(0.0, 0.0, ota, t) == 0.0
+        assert settle(0.0, 0.0, ota, 0.5, t) == 0.0
 
 
 def test_settle_matches_reference_on_grid():
@@ -65,7 +65,7 @@ def test_settle_matches_reference_on_grid():
         t = 10.0 ** rng.uniform(-12, -7)
         target = rng.uniform(-1.0, 1.0)
         v_init = rng.uniform(-1.0, 1.0)
-        got = settle(target, v_init, OtaParams(a0, gbw, beta), t)
+        got = settle(target, v_init, OtaParams(a0, gbw), beta, t)
         want = settle_reference(target, v_init, a0, beta, gbw, t)
         assert got == pytest.approx(want, rel=1e-9, abs=1e-15)
 
@@ -73,14 +73,14 @@ def test_settle_matches_reference_on_grid():
 def test_settle_monotone_toward_static_value():
     rng = np.random.default_rng(1)
     for _ in range(500):
-        ota = OtaParams(a0=10.0 ** rng.uniform(1, 6), gbw=10.0 ** rng.uniform(7, 10),
-                        beta=rng.uniform(0.1, 1.0))
+        ota = OtaParams(a0=10.0 ** rng.uniform(1, 6), gbw=10.0 ** rng.uniform(7, 10))
+        beta = rng.uniform(0.1, 1.0)
         target = rng.uniform(-1, 1)
         v_init = rng.uniform(-1, 1)
-        v_static = 1.0 / (1.0 + 1.0 / (ota.beta * ota.a0)) * target
+        v_static = 1.0 / (1.0 + 1.0 / (beta * ota.a0)) * target
         t1, t2 = sorted(rng.uniform(0, 5e-9, size=2))
-        d1 = abs(settle(target, v_init, ota, t1) - v_static)
-        d2 = abs(settle(target, v_init, ota, t2) - v_static)
+        d1 = abs(settle(target, v_init, ota, beta, t1) - v_static)
+        d2 = abs(settle(target, v_init, ota, beta, t2) - v_static)
         assert d2 <= d1 + 1e-18
 
 
@@ -88,15 +88,16 @@ def test_static_error_matches_closed_form():
     # |v_static - target| / |target| == 1 / (1 + beta*a0)
     rng = np.random.default_rng(2)
     for _ in range(300):
-        ota = OtaParams(a0=10.0 ** rng.uniform(0.5, 8), gbw=1e9, beta=rng.uniform(0.05, 1.0))
+        ota = OtaParams(a0=10.0 ** rng.uniform(0.5, 8), gbw=1e9)
+        beta = rng.uniform(0.05, 1.0)
         target = rng.choice([-1, 1]) * 10.0 ** rng.uniform(-3, 0)
-        settled = settle(target, 0.0, ota, 1.0)
+        settled = settle(target, 0.0, ota, beta, 1.0)
         rel_err = abs(settled - target) / abs(target)
-        assert rel_err == pytest.approx(1.0 / (1.0 + ota.beta * ota.a0), rel=1e-12)
+        assert rel_err == pytest.approx(1.0 / (1.0 + beta * ota.a0), rel=1e-12)
 
 
 def test_infinite_amplifier_is_exact_passthrough():
-    ota = OtaParams(a0=math.inf, gbw=math.inf, beta=1.0)
+    ota = OtaParams(a0=math.inf, gbw=math.inf)
     clock = ClockParams()
     sha = ShaParams(ota)
     for vin in (0.0, 0.6, -0.4321, 1e-9):
@@ -105,7 +106,7 @@ def test_infinite_amplifier_is_exact_passthrough():
 
 def test_sha_hold_near_published_value():
     # 67 dB unity-feedback amplifier holds 600 mV with a 0.05 % error
-    sha = ShaParams(OtaParams(a0=db_to_gain(67.0), gbw=2.5e9, beta=1.0))
+    sha = ShaParams(OtaParams(a0=db_to_gain(67.0), gbw=2.5e9))
     out = sha_hold(0.6, sha, ClockParams())
     assert out * 1e3 == pytest.approx(599.7, abs=0.1)
     err_pct = (0.6 - out) / 0.6 * 100.0
@@ -113,7 +114,7 @@ def test_sha_hold_near_published_value():
 
 
 def test_sha_hold_zero_is_zero():
-    sha = ShaParams(OtaParams(a0=db_to_gain(67.0), gbw=2.5e9, beta=1.0))
+    sha = ShaParams(OtaParams(a0=db_to_gain(67.0), gbw=2.5e9))
     assert sha_hold(0.0, sha, ClockParams()) == 0.0
 
 
@@ -260,7 +261,7 @@ def test_residue_mismatch_terms():
 def test_settle_value_array_form():
     # array v_target and v_init, as the memory sweeps call it: each element
     # has the scalar call's bits and neither argument changes
-    g, e = settle_coefficients(OtaParams(a0=db_to_gain(60.0), gbw=5e8), 1e-9)
+    g, e = settle_coefficients(OtaParams(a0=db_to_gain(60.0), gbw=5e8), 0.5, 1e-9)
     rng = np.random.default_rng(6)
     v_target = rng.uniform(-2 * VREF, 2 * VREF, 5000)
     v_init = rng.uniform(-VREF, VREF, v_target.size)
