@@ -9,7 +9,7 @@ from .correction import correct_result, correct_stream, digitize, ideal_quantize
 from .engine import PIPELINE_LATENCY_SAMPLES, PipelineEngine, SimulationResult
 from .metrics import (LinearityReport, SpectrumReport, coherent_frequency, ramp_linearity,
                       sndr_sfdr_enob, spectrum)
-from .solver import (SettleRow, SweepPoint, min_dc_gain, min_gbw, ramp_report, settle_report,
+from .solver import (MIN_DC_GAIN, SettleRow, SweepPoint, min_gbw, ramp_report, settle_report,
                      sine_report, sweep)
 from .stages import flash2b, mdac_residue, settle_coefficients, sub_adc_decide
 from .waveforms import Waveform, generate

@@ -16,12 +16,12 @@ from pathlib import Path
 from . import reports
 from .config import ConfigError, MDAC_BETA, N_BITS, PRESETS, gain_to_db, load_config, preset_config
 from .engine import PIPELINE_LATENCY_SAMPLES, PipelineEngine
-# digitize and the metrics are called through solver's sine_report and ramp_report;
-# bench/tracer.py patches them in this module as well, so they stay imported here
+# digitize and the metrics are called through solver's sine_tone, sine_report and
+# ramp_report; bench/tracer.py patches them in this module as well, so they stay imported here
 from .correction import correct_result, digitize  # noqa: F401
 from .metrics import coherent_frequency, ramp_linearity, sndr_sfdr_enob, spectrum  # noqa: F401
-from .solver import (ERR_FRACTION, SWEEP_METRICS, min_dc_gain, min_gbw, ramp_report,
-                     settle_report, sine_report, sweep)
+from .solver import (ERR_FRACTION, MIN_DC_GAIN, N_FFT, RAMP_SAMPLES, SWEEP_METRICS, min_gbw,
+                     ramp_report, settle_report, sine_report, sine_tone, sweep)
 from .waveforms import KINDS, Waveform, generate
 
 
@@ -61,7 +61,7 @@ def _cmd_simulate(args) -> int:
     # generate reads only the fields of its kind
     wave = Waveform(kind=args.waveform, length=args.length,
                     amplitude=vref if args.amplitude is None else args.amplitude,
-                    frequency=coherent_frequency(fs, 4096, fs / 16.0)[0], v_low=-vref, v_high=vref)
+                    frequency=sine_tone(fs, N_FFT)[0], v_low=-vref, v_high=vref)
     samples = generate(wave, config.clock)
     engine = PipelineEngine(config)
     result = engine.simulate(samples, record_residues=args.trace)
@@ -104,14 +104,13 @@ def _cmd_spectrum(args) -> int:
 
 def _cmd_specs(args) -> int:
     config = _resolve_config(args)
-    beta = MDAC_BETA
     t_settle = config.clock.t_settle
-    gain = min_dc_gain(beta)
-    gain_db = gain_to_db(gain)
+    gain_db = gain_to_db(MIN_DC_GAIN)
     print(f"error budget: {ERR_FRACTION:g} LSB static + {ERR_FRACTION:g} LSB dynamic "
-          f"at {N_BITS} bits, beta = {beta:g}")
-    print(f"A0  >= {gain:.0f} ({gain_db:.1f} dB; round up to {math.ceil(gain_db)} dB for margin)")
-    print(f"GBW >= {min_gbw(beta, t_settle) / 1e6:.0f} MHz @ settle_fraction "
+          f"at {N_BITS} bits, beta = {MDAC_BETA:g}")
+    print(f"A0  >= {MIN_DC_GAIN:.0f} ({gain_db:.1f} dB; round up to {math.ceil(gain_db)} dB "
+          "for margin)")
+    print(f"GBW >= {min_gbw(t_settle) / 1e6:.0f} MHz @ settle_fraction "
           f"{config.clock.settle_fraction:g} (t_settle = {t_settle * 1e9:.3f} ns)")
     return 0
 
@@ -154,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="convert a generated waveform and emit the code CSV")
     _add_common(p)
     p.add_argument("--waveform", choices=KINDS, default="sine")
-    p.add_argument("--length", type=int, default=4096 + PIPELINE_LATENCY_SAMPLES)
+    p.add_argument("--length", type=int, default=N_FFT + PIPELINE_LATENCY_SAMPLES)
     p.add_argument("--amplitude", type=float, default=None,
                    help="sine amplitude or dc level in volts (default: vref); the sine is "
                         "the coherent tone near fs/16, a ramp or pulse spans -vref to +vref")
@@ -163,12 +162,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("linearity", help="ramp code-density DNL/INL test")
     _add_common(p)
-    p.add_argument("--samples", type=int, default=2 ** 20)
+    p.add_argument("--samples", type=int, default=RAMP_SAMPLES)
     p.set_defaults(func=_cmd_linearity)
 
     p = sub.add_parser("spectrum", help="coherent full-scale sine near fs/16: SNDR/SFDR/ENOB")
     _add_common(p)
-    p.add_argument("--nfft", type=int, default=4096)
+    p.add_argument("--nfft", type=int, default=N_FFT)
     p.set_defaults(func=_cmd_spectrum)
 
     p = sub.add_parser("specs", help="minimum DC gain and GBW from the 8-bit error budget")
@@ -180,8 +179,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--axis", required=True, help="parameter path, e.g. ota.a0_db")
     p.add_argument("--values", required=True, help="comma-separated values")
     p.add_argument("--metric", choices=SWEEP_METRICS, default="enob")
-    p.add_argument("--nfft", type=int, default=4096)
-    p.add_argument("--samples", type=int, default=2 ** 20, help="ramp length for inl/dnl")
+    p.add_argument("--nfft", type=int, default=N_FFT)
+    p.add_argument("--samples", type=int, default=RAMP_SAMPLES, help="ramp length for inl/dnl")
     p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=_cmd_sweep)
 

@@ -133,7 +133,8 @@ def sndr_sfdr_enob(power: np.ndarray, signal_bin: int) -> SpectrumReport:
     SNDR is signal-bin power over the sum of every other bin, excluding DC
     and SIGNAL_GUARD_BINS bins on each side of the signal; SFDR is signal
     power over the single largest remaining bin; ENOB = (SNDR - 1.76)/6.02.
-    A spectrum with no residual power reports the 200 dB cap.
+    Remaining bins with no power report the 200 dB cap; no remaining bin is
+    an error.
     """
     nyquist = power.size - 1
     if not 0 < signal_bin < nyquist:
@@ -144,8 +145,11 @@ def sndr_sfdr_enob(power: np.ndarray, signal_bin: int) -> SpectrumReport:
     mask = np.ones(power.size, dtype=bool)
     mask[0] = False
     mask[signal_bin - SIGNAL_GUARD_BINS:signal_bin + SIGNAL_GUARD_BINS + 1] = False
+    if not mask.any():
+        raise ValueError(f"n_fft = {2 * nyquist} leaves no bin beside DC, the signal "
+                         "and its guard bins")
     p_other = float(power[mask].sum())
-    p_peak = float(power[mask].max()) if mask.any() else 0.0
+    p_peak = float(power[mask].max())
 
     sndr = DB_CAP if p_other <= 0.0 else min(DB_CAP, 10.0 * math.log10(p_sig / p_other))
     sfdr = DB_CAP if p_peak <= 0.0 else min(DB_CAP, 10.0 * math.log10(p_sig / p_peak))

@@ -17,7 +17,7 @@ import numpy as np
 from .config import CodeStream
 from .engine import SimulationResult
 from .metrics import LinearityReport, SpectrumReport
-from .solver import SettleRow, SweepPoint
+from .solver import SWEEP_METRICS, SettleRow, SweepPoint
 
 CHUNK_ROWS = 1 << 14  # rows held as Python objects at once
 
@@ -84,8 +84,7 @@ def write_settle_csv(path, rows: list[SettleRow]) -> Path:
 
 
 def write_sweep_csv(path, axis: str, metric: str, points: list[SweepPoint]) -> Path:
-    units = {"enob": "bits", "inl": "lsb", "dnl": "lsb"}[metric]
-    return _write(path, [axis, f"{metric}_{units}"], "%r,%r",
+    return _write(path, [axis, f"{metric}_{SWEEP_METRICS[metric]}"], "%r,%r",
                   [[p.value for p in points], [p.metric for p in points]])
 
 

@@ -18,55 +18,54 @@ import math
 import os
 from dataclasses import dataclass
 
-from .config import AdcConfig, N_BITS, N_STAGES, set_param, validate
+from .config import AdcConfig, MDAC_BETA, N_BITS, N_STAGES, set_param, validate
 from .correction import digitize
 from .engine import PIPELINE_LATENCY_SAMPLES, PipelineEngine
 from .metrics import (LinearityReport, SpectrumReport, coherent_frequency, ramp_linearity,
                       sndr_sfdr_enob, spectrum)
 from .waveforms import Waveform, generate
 
-SWEEP_METRICS = ("enob", "inl", "dnl")
+# the default records: codes after the warm-up of the sine and of the ramp test
+N_FFT = 4096
+RAMP_SAMPLES = 2 ** 20
+SWEEP_METRICS = {"enob": "bits", "inl": "lsb", "dnl": "lsb"}  # each metric's CSV unit
 # each error term gets a quarter LSB: the half-LSB settling allowance split
 # equally between the static and the dynamic error
 ERR_FRACTION = 0.25
+# minimum amplifier DC gain (linear), a0_min, at a stage MDAC's feedback factor
+MIN_DC_GAIN = 2.0 ** N_BITS / (MDAC_BETA * ERR_FRACTION)
 
 
-def _check_positive(name: str, value: float) -> None:
-    if not value > 0.0:
-        raise ValueError(f"{name} must be positive, got {value!r}")
+def min_gbw(t_settle: float) -> float:
+    """Minimum gain-bandwidth product at a stage MDAC's feedback factor.
 
-
-def min_dc_gain(beta: float) -> float:
-    """Minimum amplifier DC gain (linear): a0_min = 2^N_BITS / (beta * ERR_FRACTION)."""
-    _check_positive("beta", beta)
-    return 2.0 ** N_BITS / (beta * ERR_FRACTION)
-
-
-def min_gbw(beta: float, t_settle: float) -> float:
-    """Minimum gain-bandwidth product.
-
-    gbw_min = ln(1 / (ERR_FRACTION * 2^-N_BITS)) / (2*pi*beta*t_settle),
+    gbw_min = ln(1 / (ERR_FRACTION * 2^-N_BITS)) / (2*pi*MDAC_BETA*t_settle),
     i.e. enough time constants inside t_settle for the residual exponential
-    to drop below the budgeted fraction of an LSB.
+    to drop below the budgeted fraction of an LSB. t_settle is checked: a
+    valid clock's settle_fraction / fs can still underflow to 0.0.
     """
-    _check_positive("beta", beta)
-    _check_positive("t_settle", t_settle)
+    if not t_settle > 0.0:
+        raise ValueError(f"t_settle must be positive, got {t_settle!r}")
     return math.log(1.0 / (ERR_FRACTION * 2.0 ** -N_BITS)) / (
-        2.0 * math.pi * beta * t_settle)
+        2.0 * math.pi * MDAC_BETA * t_settle)
 
 
 # ---------------------------------------------------------------------------
 # the three bench tests, each assembled here only
 
 
+def sine_tone(fs: float, n_fft: int) -> tuple[float, int]:
+    """The test tone of an n_fft record: (f_in, bin) of the coherent bin nearest fs/16."""
+    return coherent_frequency(fs, n_fft, fs / 16.0)
+
+
 def sine_report(config: AdcConfig, n_fft: int) -> tuple[SpectrumReport, float]:
-    """SNDR/SFDR/ENOB of a full-scale sine at the coherent bin nearest fs/16, and its frequency.
+    """SNDR/SFDR/ENOB of a full-scale sine at :func:`sine_tone`, and its frequency.
 
     The capture is n_fft samples plus the pipeline latency, so the metric sees
     n_fft codes after the warm-up.
     """
-    fs = config.clock.fs
-    f_in, signal_bin = coherent_frequency(fs, n_fft, fs / 16.0)
+    f_in, signal_bin = sine_tone(config.clock.fs, n_fft)
     wave = Waveform(kind="sine", length=n_fft + PIPELINE_LATENCY_SAMPLES,
                     amplitude=config.reference.vref, frequency=f_in)
     stream = digitize(generate(wave, config.clock), config)
@@ -140,7 +139,7 @@ def _sweep_one(args) -> float:
 
 
 def sweep(config: AdcConfig, axis: str, values, metric: str,
-          n_fft: int = 4096, ramp_samples: int = 2 ** 20,
+          n_fft: int = N_FFT, ramp_samples: int = RAMP_SAMPLES,
           jobs: int = 1) -> list[SweepPoint]:
     """Map one parameter axis to a metric, one independent run per value.
 
@@ -151,7 +150,7 @@ def sweep(config: AdcConfig, axis: str, values, metric: str,
     key syntax, including the a0_db alias and the broadcasting ota. prefix.
     """
     if metric not in SWEEP_METRICS:
-        raise ValueError(f"unknown sweep metric: {metric!r} (use one of {SWEEP_METRICS})")
+        raise ValueError(f"unknown sweep metric: {metric!r} (use one of {tuple(SWEEP_METRICS)})")
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     set_param(config, axis, 1.0)  # fail fast on a bad path, even with no values

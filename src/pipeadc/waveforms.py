@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .config import ClockParams, FULL_SCALE_CODES
 
-KINDS = ("sine", "ramp", "pulse", "dc")
+# each kind and the fields it reads
+KINDS = {"sine": ("amplitude", "frequency"), "ramp": ("v_low", "v_high"),
+         "pulse": ("v_low", "v_high"), "dc": ("amplitude",)}
 
 
 @dataclass(frozen=True)
@@ -17,7 +20,7 @@ class Waveform:
 
     amplitude and frequency drive the sine (and amplitude the dc level);
     v_low/v_high are the edges of the ramp and pulse. length is the number of
-    samples (>= 1).
+    samples (>= 1). The fields a kind reads must be finite.
     """
 
     kind: str
@@ -42,6 +45,9 @@ def generate(w: Waveform, clock: ClockParams) -> np.ndarray:
         raise ValueError(f"unknown waveform kind: {w.kind!r}")
     if isinstance(w.length, bool) or not isinstance(w.length, (int, np.integer)) or w.length < 1:
         raise ValueError(f"length must be an integer >= 1, got {w.length!r}")
+    for name in KINDS[w.kind]:
+        if not math.isfinite(getattr(w, name)):
+            raise ValueError(f"{name} must be finite, got {getattr(w, name)!r}")
     if w.kind == "sine":
         if w.frequency <= 0.0:
             raise ValueError("sine requires a positive frequency")

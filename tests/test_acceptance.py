@@ -10,11 +10,11 @@ import time
 import numpy as np
 import pytest
 
-from pipeadc import (CodeStream, OtaParams, PIPELINE_LATENCY_SAMPLES, PipelineEngine,
-                     Waveform, coherent_frequency, default_config, degraded_config, digitize,
-                     gain_to_db, generate, ideal_config, ideal_quantize, min_dc_gain, min_gbw,
-                     ramp_report, settle_coefficients, settle_report, sine_report,
-                     sndr_sfdr_enob, spectrum)
+from pipeadc import (MIN_DC_GAIN, CodeStream, OtaParams, PIPELINE_LATENCY_SAMPLES,
+                     PipelineEngine, Waveform, coherent_frequency, default_config,
+                     degraded_config, digitize, gain_to_db, generate, ideal_config,
+                     ideal_quantize, min_gbw, ramp_report, settle_coefficients, settle_report,
+                     sine_report, sndr_sfdr_enob, spectrum)
 from pipeadc.config import MDAC_BETA, SHA_BETA, set_param
 from pipeadc.stages import settle_value
 
@@ -62,9 +62,9 @@ def test_criterion_2_ideal_dynamic_range():
 
 
 def test_criterion_3_solver_anchors():
-    gain = min_dc_gain(0.5)
+    gain = MIN_DC_GAIN
     gain_db = gain_to_db(gain)
-    gbw = min_gbw(0.5, 0.387 / 166.6e6)
+    gbw = min_gbw(0.387 / 166.6e6)
     ok = abs(gain_db - 66.2) <= 0.05 and abs(gbw - 950e6) <= 0.02 * 950e6
     _report(3, "minimum gain 66.2 dB and minimum GBW 950 MHz",
             ok, f"A0 {gain_db:.2f} dB ({gain:.0f}), GBW {gbw / 1e6:.1f} MHz")

@@ -8,7 +8,8 @@ import pytest
 import pipeadc
 from pipeadc import (PipelineEngine, Waveform, coherent_frequency, correct_result,
                      default_config, degraded_config, generate, save_config)
-from pipeadc.cli import run_subcommand
+from pipeadc.cli import build_parser, run_subcommand
+from pipeadc.solver import N_FFT, RAMP_SAMPLES
 
 
 def run(args, capsys):
@@ -129,7 +130,7 @@ def test_spectrum_labels_bins_at_the_config_sample_rate(tmp_path, capsys):
     assert [row[:2] for row in rows] == [[str(k), repr(k * (100e6 / 256))] for k in range(129)]
 
 
-@pytest.mark.parametrize("nfft", ["0", "-4", "2", "1000"])
+@pytest.mark.parametrize("nfft", ["0", "-4", "2", "4", "1000"])
 @pytest.mark.parametrize("command", [["spectrum"], ["sweep", "--axis", "ota.a0_db",
                                                     "--values", "60", "--metric", "enob"]])
 def test_bad_nfft_fails_with_message(tmp_path, capsys, command, nfft):
@@ -137,6 +138,14 @@ def test_bad_nfft_fails_with_message(tmp_path, capsys, command, nfft):
                                     "--out", str(tmp_path)], capsys)
     assert status == 1
     assert err.startswith("error:") and "n_fft" in err
+
+
+def test_parser_record_defaults_come_from_solver():
+    parse = build_parser().parse_args
+    sweep = parse(["sweep", "--axis", "ota.a0_db", "--values", "60"])
+    assert parse(["spectrum"]).nfft == sweep.nfft == N_FFT
+    assert parse(["linearity"]).samples == sweep.samples == RAMP_SAMPLES
+    assert parse(["simulate"]).length == N_FFT + pipeadc.PIPELINE_LATENCY_SAMPLES
 
 
 def test_sweep_command(tmp_path, capsys):

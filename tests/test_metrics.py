@@ -273,6 +273,12 @@ def test_degenerate_spectrum_caps_at_200db():
     assert rep.sfdr_db == 200.0
 
 
+def test_no_bin_beside_dc_signal_and_guards_rejected():
+    # n_fft = 4: bins 0-2, the signal at 1, so DC and the guard bins leave none
+    with pytest.raises(ValueError, match=r"^n_fft = 4 leaves no bin"):
+        sndr_sfdr_enob(np.array([0.0, 1.0, 0.0]), 1)
+
+
 def test_sndr_sfdr_leave_out_dc_and_one_bin_each_side_of_the_signal():
     # known answer: DC and bins m-1, m+1 are left out, bins m-2, m+2 count
     n_fft, m = 256, 31

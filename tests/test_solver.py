@@ -8,9 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pipeadc import (ConfigError, OtaParams, PIPELINE_LATENCY_SAMPLES, Waveform,
+from pipeadc import (MIN_DC_GAIN, ConfigError, OtaParams, PIPELINE_LATENCY_SAMPLES, Waveform,
                      coherent_frequency, default_config, degraded_config, digitize, gain_to_db,
-                     generate, ideal_config, min_dc_gain, min_gbw, ramp_linearity, ramp_report,
+                     generate, ideal_config, min_gbw, ramp_linearity, ramp_report,
                      settle_coefficients, sine_report, sndr_sfdr_enob, spectrum, sweep)
 import pipeadc.solver
 from pipeadc.config import set_param
@@ -20,19 +20,13 @@ T_SETTLE = 0.387 / 166.6e6
 
 
 def test_min_gain_main_anchor():
-    # n=8, beta=0.5, quarter-LSB budget: 2048 linear = 66.2 dB
-    gain = min_dc_gain(0.5)
-    assert gain == pytest.approx(2048.0, rel=1e-12)
-    assert gain_to_db(gain) == pytest.approx(66.2, abs=0.05)
-
-
-def test_min_gain_other_cases():
-    assert min_dc_gain(1.0) == pytest.approx(1024.0)
-    assert gain_to_db(min_dc_gain(1.0)) == pytest.approx(60.2, abs=0.05)
+    # n=8, a stage MDAC's beta=0.5, quarter-LSB budget: 2048 linear = 66.2 dB
+    assert MIN_DC_GAIN == pytest.approx(2048.0, rel=1e-12)
+    assert gain_to_db(MIN_DC_GAIN) == pytest.approx(66.2, abs=0.05)
 
 
 def test_min_gbw_reproduces_950mhz():
-    gbw = min_gbw(0.5, T_SETTLE)
+    gbw = min_gbw(T_SETTLE)
     assert gbw == pytest.approx(950e6, rel=0.02)
     # closed form: (n*ln2 + ln(1/err)) / (2*pi*beta*t)
     want = (8 * math.log(2) + math.log(4)) / (2 * math.pi * 0.5 * T_SETTLE)
@@ -40,30 +34,20 @@ def test_min_gbw_reproduces_950mhz():
 
 
 def test_min_gbw_scales_exactly():
-    gbw = min_gbw(0.5, T_SETTLE)
-    assert min_gbw(0.5, 2 * T_SETTLE) == gbw / 2.0
-    assert min_gbw(1.0, T_SETTLE) == pytest.approx(gbw / 2.0, rel=1e-15)
+    assert min_gbw(2 * T_SETTLE) == min_gbw(T_SETTLE) / 2.0
 
 
-@pytest.mark.parametrize("beta,t_settle,name", [
-    (-0.5, T_SETTLE, "beta"),
-    (0.0, T_SETTLE, "beta"),
-    (math.nan, T_SETTLE, "beta"),
-    (0.5, 0.0, "t_settle"),
-    (0.5, -T_SETTLE, "t_settle"),
-], ids=["negative-beta", "zero-beta", "nan-beta", "zero-t_settle", "negative-t_settle"])
-def test_budget_validation(beta, t_settle, name):
-    with pytest.raises(ValueError, match=f"^{name} must be positive"):
-        min_gbw(beta, t_settle)
-    if name == "beta":
-        with pytest.raises(ValueError, match="^beta must be positive"):
-            min_dc_gain(beta)
+@pytest.mark.parametrize("t_settle", [0.0, -T_SETTLE, math.nan],
+                         ids=["zero-t_settle", "negative-t_settle", "nan-t_settle"])
+def test_budget_validation(t_settle):
+    with pytest.raises(ValueError, match="^t_settle must be positive"):
+        min_gbw(t_settle)
 
 
 def test_budget_consistency_with_settling():
     # an amplifier built exactly to the solved minimums settles a worst-case
     # full-swing residue to within half an LSB
-    ota = OtaParams(a0=min_dc_gain(0.5), gbw=min_gbw(0.5, T_SETTLE))
+    ota = OtaParams(a0=MIN_DC_GAIN, gbw=min_gbw(T_SETTLE))
     vref = 0.6
     lsb = 2 * vref / 256.0
     settled = settle_value(vref, 0.0, *settle_coefficients(ota, 0.5, T_SETTLE))

@@ -75,3 +75,21 @@ def test_invalid_waveforms_rejected(bad):
     with pytest.raises(ValueError, match="length" if bad.length != 8 else None):
         generate(bad, CLOCK)
 
+
+@pytest.mark.parametrize("kind,field", [("sine", "amplitude"), ("sine", "frequency"),
+                                        ("ramp", "v_low"), ("pulse", "v_high"),
+                                        ("dc", "amplitude")])
+@pytest.mark.parametrize("value", [np.inf, np.nan])
+def test_non_finite_field_rejected_by_name(kind, field, value):
+    # rejected before any array is formed, so numpy warns about nothing
+    fields = dict(amplitude=0.1, frequency=1e6, v_low=-0.6, v_high=0.6)
+    fields[field] = value
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        generate(Waveform(kind=kind, length=8, **fields), CLOCK)
+
+
+def test_fields_of_other_kinds_are_not_read():
+    # a ramp reads v_low and v_high only, so whatever --amplitude says cannot stop it
+    wave = Waveform(kind="ramp", length=8, amplitude=np.nan, frequency=np.inf,
+                    v_low=-0.6, v_high=0.6)
+    assert np.isfinite(generate(wave, CLOCK)).all()
