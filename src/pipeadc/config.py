@@ -172,14 +172,17 @@ class CodeStream:
 def validate(config: AdcConfig) -> AdcConfig:
     """Return the config unchanged if every node and leaf fits its declaration.
 
-    Raises ConfigError naming the first key that does not (see _fit), or a
-    tuple of the wrong length. Idempotent: validate(validate(c)) is c.
+    Raises ConfigError naming the first key that does not (see _fit), a tuple
+    of the wrong length, or a clock whose t_settle underflows to 0.0.
+    Idempotent: validate(validate(c)) is c.
     """
     _fit(config, AdcConfig, AdcConfig, None, None, None, "")
     if len(config.stages) != N_STAGES:
         raise ConfigError("stages: expected 6")
     if len(config.flash_offsets) != N_FLASH_THRESHOLDS:
         raise ConfigError("flash_offsets: expected 3 values")
+    if config.clock.t_settle == 0.0:
+        raise ConfigError("clock.settle_fraction / clock.fs: the settling time underflows to 0")
     return config
 
 

@@ -41,8 +41,8 @@ def min_gbw(t_settle: float) -> float:
 
     gbw_min = ln(1 / (ERR_FRACTION * 2^-N_BITS)) / (2*pi*MDAC_BETA*t_settle),
     i.e. enough time constants inside t_settle for the residual exponential
-    to drop below the budgeted fraction of an LSB. t_settle is checked: a
-    valid clock's settle_fraction / fs can still underflow to 0.0.
+    to drop below the budgeted fraction of an LSB. t_settle is checked here
+    too, as it is a bare float and need not come from a validated clock.
     """
     if not t_settle > 0.0:
         raise ValueError(f"t_settle must be positive, got {t_settle!r}")

@@ -29,12 +29,14 @@ METRICS = "src/pipeadc/metrics.py"
 CORRECTION = "src/pipeadc/correction.py"
 CONFIG = "src/pipeadc/config.py"
 SOLVER = "src/pipeadc/solver.py"
+CLI = "src/pipeadc/cli.py"
 TEST_ENGINE = "tests/test_engine.py"
 TEST_METRICS = "tests/test_metrics.py"
 TEST_STAGES = "tests/test_stages.py"
 TEST_CONFIG = "tests/test_config.py"
 TEST_CORRECTION = "tests/test_correction.py"
 TEST_SOLVER = "tests/test_solver.py"
+TEST_CLI = "tests/test_cli.py"
 
 MUTANTS = [
     # (file, old, new, test file that must fail)
@@ -97,8 +99,9 @@ MUTANTS = [
      "np.flatnonzero(codes[1:] != codes[:-1])", TEST_METRICS),
     (METRICS, "last = FULL_SCALE_CODES - 2", "last = FULL_SCALE_CODES - 3", TEST_METRICS),
     (METRICS, "SIGNAL_GUARD_BINS = 1", "SIGNAL_GUARD_BINS = 2", TEST_METRICS),
-    # a record too short to leave a bin beside DC, the signal and its guards
-    (METRICS, "if not mask.any():", "if False:", TEST_METRICS),
+    # the record floor: a record too short for a noise estimate, 256 points not
+    (METRICS, "if 2 * nyquist < MIN_N_FFT:", "if 2 * nyquist <= MIN_N_FFT:", TEST_METRICS),
+    (METRICS, "if 2 * nyquist < MIN_N_FFT:", "if 4 * nyquist < MIN_N_FFT:", TEST_METRICS),
     # a capture's DC bin holds only rounding, as the record is mean-removed;
     # the known-answer spectrum puts power there
     (METRICS, "mask[0] = False", "mask[0] = True", TEST_METRICS),
@@ -124,6 +127,16 @@ MUTANTS = [
     (CONFIG, "key < len(node)", "key <= len(node)", TEST_CONFIG),
     (CONFIG, 'lo = math.nextafter(lo, math.inf) if interval[0] == "(" else lo', "", TEST_CONFIG),
     (CONFIG, "if isinstance(value, (int, float)) and value in (0, 1):", "if False:", TEST_CONFIG),
+    # a clock whose settling time underflows, though each of its keys is in range
+    (CONFIG, "if config.clock.t_settle == 0.0:", "if False:", TEST_CONFIG),
+    # the command line: each command's config from one place, the common options on
+    # every subcommand, the working directory as the default output, one exit status
+    (CLI, "return preset_config(name, seed=args.seed)", "return preset_config(name)", TEST_CLI),
+    (CLI, "if args.seed is not None:", "if False:", TEST_CLI),
+    (CLI, 'sub.add_parser("specs", parents=[common],', 'sub.add_parser("specs",', TEST_CLI),
+    (CLI, 'default=Path(".")', 'default=Path("out")', TEST_CLI),
+    (CLI, "    return 0\n\n\ndef main", "    return 1\n\n\ndef main", TEST_CLI),
+    (CLI, "(ConfigError, ValueError, OSError)", "(ConfigError, ValueError)", TEST_CLI),
 ]
 
 EQUIVALENT = [

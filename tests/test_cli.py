@@ -130,7 +130,7 @@ def test_spectrum_labels_bins_at_the_config_sample_rate(tmp_path, capsys):
     assert [row[:2] for row in rows] == [[str(k), repr(k * (100e6 / 256))] for k in range(129)]
 
 
-@pytest.mark.parametrize("nfft", ["0", "-4", "2", "4", "1000"])
+@pytest.mark.parametrize("nfft", ["0", "-4", "2", "4", "8", "128", "1000"])
 @pytest.mark.parametrize("command", [["spectrum"], ["sweep", "--axis", "ota.a0_db",
                                                     "--values", "60", "--metric", "enob"]])
 def test_bad_nfft_fails_with_message(tmp_path, capsys, command, nfft):
@@ -138,6 +138,82 @@ def test_bad_nfft_fails_with_message(tmp_path, capsys, command, nfft):
                                     "--out", str(tmp_path)], capsys)
     assert status == 1
     assert err.startswith("error:") and "n_fft" in err
+
+
+def test_tiny_clock_file_fails_before_any_report_line(tmp_path, capsys):
+    # settle_fraction / fs underflows to 0.0 though each key is in its interval
+    cfg_path = tmp_path / "tiny.cfg"
+    cfg_path.write_text("clock.fs = 1e308\nclock.settle_fraction = 1e-20\n")
+    status, out, err = run(["specs", "--config", str(cfg_path)], capsys)
+    assert status == 1
+    assert out == ""
+    assert err == "error: clock.settle_fraction / clock.fs: the settling time underflows to 0\n"
+
+
+def test_sweep_to_an_underflowing_settling_time_names_the_key(tmp_path, capsys):
+    status, out, err = run(["sweep", "--axis", "clock.settle_fraction", "--values", "1e-320",
+                            "--nfft", "256", "--out", str(tmp_path)], capsys)
+    assert status == 1
+    assert out == ""
+    assert err.startswith("error: clock.settle_fraction")
+
+
+# every subcommand, with the fewest arguments it parses with
+SUBCOMMANDS = [["simulate"], ["linearity"], ["spectrum"], ["specs"],
+               ["sweep", "--axis", "ota.a0_db", "--values", "60"], ["settle-report"]]
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS, ids=lambda c: c[0])
+def test_every_subcommand_takes_the_common_options(command):
+    parse = build_parser().parse_args
+    args = parse(command)
+    assert (args.config, args.seed, args.out) == ("default", None, Path("."))
+    args = parse([*command, "--config", "ideal", "--seed", "2", "--out", "a/b"])
+    assert (args.config, args.seed, args.out) == ("ideal", 2, Path("a/b"))
+
+
+# each file-writing command at a small size, and the files it writes
+WRITERS = [
+    (["simulate", "--config", "ideal", "--waveform", "pulse", "--length", "64"], ["codes.csv"]),
+    (["linearity", "--config", "ideal", "--samples", "16384"], ["linearity.csv", "linearity.gp"]),
+    (["spectrum", "--config", "ideal", "--nfft", "256"], ["spectrum.csv", "spectrum.gp"]),
+    (["sweep", "--config", "ideal", "--axis", "ota.a0_db", "--values", "60", "--nfft", "256"],
+     ["sweep.csv", "sweep.gp"]),
+    (["settle-report", "--config", "settling-fit"], ["settle_report.csv"]),
+]
+
+
+@pytest.mark.parametrize("command,files", WRITERS, ids=lambda c: c[0])
+def test_without_out_a_command_writes_into_the_working_directory(tmp_path, monkeypatch, capsys,
+                                                                  command, files):
+    monkeypatch.chdir(tmp_path)
+    status, out, _ = run(command, capsys)
+    assert status == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == files
+    assert out.endswith(f" -> {files[0]}\n")
+
+
+@pytest.mark.parametrize("command,files", WRITERS, ids=lambda c: c[0])
+def test_a_command_creates_a_nested_out_directory(tmp_path, capsys, command, files):
+    out_dir = tmp_path / "a" / "b" / "c"
+    status, _, _ = run([*command, "--out", str(out_dir)], capsys)
+    assert status == 0
+    assert sorted(p.name for p in out_dir.iterdir()) == files
+
+
+def test_specs_writes_nothing_and_creates_no_out_directory(tmp_path, capsys):
+    status, _, _ = run(["specs", "--out", str(tmp_path / "a" / "b")], capsys)
+    assert status == 0
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_out_that_is_a_file_fails_with_message(tmp_path, capsys):
+    (tmp_path / "taken").write_text("")
+    status, out, err = run(["settle-report", "--config", "settling-fit",
+                            "--out", str(tmp_path / "taken")], capsys)
+    assert status == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_parser_record_defaults_come_from_solver():

@@ -77,6 +77,12 @@ def _edge_values(interval):
     return accepted, rejected
 
 
+# Edge values accepted by their key's interval whose clock's settling time,
+# settle_fraction / fs at the default fs, underflows to 0.0: validate rejects them.
+UNDERFLOWS_T_SETTLE = {("clock.settle_fraction", 5e-324)}
+T_SETTLE_MESSAGE = "clock.settle_fraction / clock.fs: the settling time underflows to 0"
+
+
 def test_every_key_accepts_its_edges_and_rejects_past_them():
     d = default_config()
     keys = [line.split(" = ")[0] for line in config_to_text(d).splitlines()[1:]]
@@ -95,8 +101,11 @@ def test_every_key_accepts_its_edges_and_rejects_past_them():
             try:
                 cfg = validate(set_param(d, key, value))
             except ConfigError as exc:
-                wrong.append(f"{key} = {value!r} rejected: {exc}")
+                if (key, value) not in UNDERFLOWS_T_SETTLE or str(exc) != T_SETTLE_MESSAGE:
+                    wrong.append(f"{key} = {value!r} rejected: {exc}")
                 continue
+            if (key, value) in UNDERFLOWS_T_SETTLE:
+                wrong.append(f"{key} = {value!r} accepted though t_settle underflows")
             if f"\n{key} = {str(value).lower()}\n" not in config_to_text(cfg):
                 wrong.append(f"{key} = {value!r} not stored")
         for value in rejected:
@@ -107,6 +116,14 @@ def test_every_key_accepts_its_edges_and_rejects_past_them():
                 if str(exc) != f"{key}: must be in {DOMAINS[leaf]}":
                     wrong.append(f"{key} = {value!r}: wrong message: {exc}")
     assert wrong == []
+
+
+@pytest.mark.parametrize("fs,settle_fraction", [(1e308, 1e-20), (166.6e6, 1e-320)])
+def test_clock_whose_settling_time_underflows_rejected(fs, settle_fraction):
+    clock = ClockParams(fs=fs, settle_fraction=settle_fraction)
+    assert clock.t_settle == 0.0
+    with pytest.raises(ConfigError, match=f"^{re.escape(T_SETTLE_MESSAGE)}$"):
+        validate(replace(default_config(), clock=clock))
 
 
 def _with_stage(i, stage):

@@ -6,6 +6,7 @@ import pytest
 from pipeadc import (CodeStream, PIPELINE_LATENCY_SAMPLES, Waveform,
                      coherent_frequency, degraded_config, digitize, generate, ideal_config,
                      ramp_linearity, sndr_sfdr_enob, spectrum)
+from pipeadc.metrics import MIN_N_FFT
 
 FS = 166.6e6
 
@@ -274,9 +275,15 @@ def test_degenerate_spectrum_caps_at_200db():
 
 
 def test_no_bin_beside_dc_signal_and_guards_rejected():
-    # n_fft = 4: bins 0-2, the signal at 1, so DC and the guard bins leave none
-    with pytest.raises(ValueError, match=r"^n_fft = 4 leaves no bin"):
+    # n_fft = 4: bins 0-2, the signal at 1, so DC and the guard bins leave none;
+    # the record floor rejects it, and every record up to half the floor
+    with pytest.raises(ValueError, match=r"^n_fft = 4 is too short for a noise estimate; "
+                                         r"need at least 256$"):
         sndr_sfdr_enob(np.array([0.0, 1.0, 0.0]), 1)
+    power = np.zeros(MIN_N_FFT // 4 + 1)
+    power[31] = 1.0
+    with pytest.raises(ValueError, match=r"^n_fft = 128 is too short"):
+        sndr_sfdr_enob(power, 31)
 
 
 def test_sndr_sfdr_leave_out_dc_and_one_bin_each_side_of_the_signal():
