@@ -178,9 +178,9 @@ def validate(config: AdcConfig) -> AdcConfig:
     """
     _fit(config, AdcConfig, AdcConfig, None, None, None, "")
     if len(config.stages) != N_STAGES:
-        raise ConfigError("stages: expected 6")
+        raise ConfigError(f"stages: expected {N_STAGES}")
     if len(config.flash_offsets) != N_FLASH_THRESHOLDS:
-        raise ConfigError("flash_offsets: expected 3 values")
+        raise ConfigError(f"flash_offsets: expected {N_FLASH_THRESHOLDS} values")
     if config.clock.t_settle == 0.0:
         raise ConfigError("clock.settle_fraction / clock.fs: the settling time underflows to 0")
     return config

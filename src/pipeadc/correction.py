@@ -15,10 +15,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .config import AdcConfig, CodeStream, FULL_SCALE_CODES, MID_CODE, N_STAGES
+from .config import AdcConfig, CodeStream, FULL_SCALE_CODES, MID_CODE, N_FLASH_THRESHOLDS, N_STAGES
 from .engine import PIPELINE_LATENCY_SAMPLES, PipelineEngine, SimulationResult
 
-FLASH_MID = 2
+FLASH_MID = (N_FLASH_THRESHOLDS + 1) // 2
 
 
 def correct_stream(decisions: np.ndarray, flash: np.ndarray) -> CodeStream:

@@ -50,13 +50,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import AdcConfig, MDAC_BETA, N_STAGES, SHA_BETA, validate
+from .config import AdcConfig, ConfigError, MDAC_BETA, N_STAGES, SHA_BETA, validate
 # comparator_diff is not called here; bench/tracer.py patches it in this module
 from .stages import (comparator_diff, flash2b, flash_thresholds, mdac_residue,  # noqa: F401
                      settle_coefficients, settle_value, sub_adc_decide, sub_adc_thresholds)
 
 # SHA, six stages, flash: seven one-sample hops from input to a complete code.
-PIPELINE_LATENCY_SAMPLES = 7
+PIPELINE_LATENCY_SAMPLES = N_STAGES + 1
 
 # Samples per block. A block's residue buffer and its few float64
 # temporaries per stage (128 KB each) stay in cache: on a 2-core Xeon
@@ -133,6 +133,11 @@ class PipelineEngine:
         self._ch = [(*settle_coefficients(amp.ota, MDAC_BETA if ch else SHA_BETA, t),
                      0.0 if c.clock.reset_enabled else amp.ota.k_mem, hops[ch])
                     for ch, amp in enumerate(amps)]
+        for ch, (_, e, *_) in enumerate(self._ch):
+            if e == 1.0:  # t_settle so far below tau that the amplifier's output never moves
+                key = f"stages[{ch - 1}].ota.gbw" if ch else "sha.ota.gbw"
+                raise ConfigError(f"{key}, clock.settle_fraction / clock.fs: exp(-t_settle / tau) "
+                                  "rounds to 1, so the amplifier never settles")
 
     # -- batch driver ----------------------------------------------------------
 

@@ -179,8 +179,6 @@ def coherent_frequency(fs: float, n_fft: int, f_target: float) -> tuple[float, i
     if not 0.0 < f_target < fs / 2.0:
         raise ValueError("target frequency must lie in (0, fs/2)")
     m_real = f_target * n_fft / fs
-    lo = max(1, 2 * int((m_real - 1.0) // 2.0) + 1)
-    hi = lo + 2
-    m = hi if (hi - m_real) <= (m_real - lo) else lo
-    m = min(m, n_fft // 2 - 1)  # odd, as n_fft is a power of two >= 4
+    # m_real in [2j, 2j + 2) is nearest the odd 2j + 1, the tie at 2j too; n_fft // 2 - 1 is odd
+    m = min(2 * int(m_real // 2.0) + 1, n_fft // 2 - 1)
     return m * fs / n_fft, m

@@ -1,8 +1,8 @@
-"""CSV and gnuplot-script emission.
+"""CSV and gnuplot-script emission, every file through ``_write``.
 
-All files are plain text with a self-describing header row, written with
-deterministic float formatting (shortest round-trip repr) and '\n' line ends,
-so identical runs produce byte-identical files. Rows are formatted from whole
+All files are plain text, each CSV with a self-describing header row, written
+with deterministic float formatting (shortest round-trip repr) and '\n' line
+ends, so identical runs produce byte-identical files. Rows are formatted from whole
 columns, ``CHUNK_ROWS`` at a time; the bytes are those of a ``csv.writer``
 fed ``int(x)`` and ``repr(float(x))`` row by row.
 """
@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import CodeStream
+from .config import CodeStream, N_STAGES
 from .engine import SimulationResult
 from .metrics import LinearityReport, SpectrumReport
 from .solver import SWEEP_METRICS, SettleRow, SweepPoint
@@ -23,7 +23,7 @@ CHUNK_ROWS = 1 << 14  # rows held as Python objects at once
 
 
 def _write(path, header, fmt, columns) -> Path:
-    """Write ``header``, then one ``fmt`` line per row of the equal-length ``columns``.
+    """Write ``header``, if any, then one ``fmt`` line per row of the equal-length ``columns``.
 
     ``fmt`` has one conversion per column: %d for an int, %s for a str and
     %r for a float, its shortest repr. A %r column is read as float64, so no
@@ -34,7 +34,8 @@ def _write(path, header, fmt, columns) -> Path:
     width = len(columns)
     floats = [kind == "%r" for kind in fmt.split(",")]
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        csv.writer(fh, lineterminator="\n").writerow(header)
+        if header:
+            csv.writer(fh, lineterminator="\n").writerow(header)
         for start in range(0, len(columns[0]), CHUNK_ROWS):
             rows = min(CHUNK_ROWS, len(columns[0]) - start)
             flat = [None] * (width * rows)
@@ -57,12 +58,13 @@ def write_trace_csv(path, result: SimulationResult) -> Path:
     """Per-sample dump: input, settled residues, raw decisions."""
     if result.residues is None:
         raise ValueError("trace dump needs a run with record_residues=True")
-    header = (["n", "vin_v", "sha_v"]
-              + [f"stage{k}_residue_v" for k in range(1, 7)]
-              + [f"d{k}" for k in range(1, 7)] + ["dflash"])
+    stages = range(1, N_STAGES + 1)
+    header = (["n", "vin_v", "sha_v"] + [f"stage{k}_residue_v" for k in stages]
+              + [f"d{k}" for k in stages] + ["dflash"])
     columns = [range(len(result.flash)), result.vin, *result.residues.T,
                *result.decisions.T, result.flash]
-    return _write(path, header, ",".join(["%d"] + ["%r"] * 8 + ["%d"] * 7), columns)
+    fmt = ",".join(["%d"] + ["%r"] * (N_STAGES + 2) + ["%d"] * (N_STAGES + 1))
+    return _write(path, header, fmt, columns)
 
 
 def write_linearity_csv(path, report: LinearityReport) -> Path:
@@ -88,19 +90,15 @@ def write_sweep_csv(path, axis: str, metric: str, points: list[SweepPoint]) -> P
                   [[p.value for p in points], [p.metric for p in points]])
 
 
-def _write_script(path, lines) -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
-    return path
+def _write_plot(path, png: str, size: str, lines) -> Path:
+    """A gnuplot script: the preamble that draws a CSV into ``png`` at ``size``, then ``lines``."""
+    return _write(path, [], "%s", [["set datafile separator ','",
+                                    f"set terminal pngcairo size {size}",
+                                    f"set output '{png}'", *lines]])
 
 
 def write_linearity_plot(path, csv_path) -> Path:
-    return _write_script(path, [
-        "set datafile separator ','",
-        "set terminal pngcairo size 900,700",
-        "set output 'linearity.png'",
+    return _write_plot(path, "linearity.png", "900,700", [
         "set multiplot layout 2,1",
         "set xlabel 'code'",
         "set ylabel 'DNL (LSB)'",
@@ -112,10 +110,7 @@ def write_linearity_plot(path, csv_path) -> Path:
 
 
 def write_spectrum_plot(path, csv_path) -> Path:
-    return _write_script(path, [
-        "set datafile separator ','",
-        "set terminal pngcairo size 900,500",
-        "set output 'spectrum.png'",
+    return _write_plot(path, "spectrum.png", "900,500", [
         "set xlabel 'frequency (Hz)'",
         "set ylabel 'power (dBc)'",
         "set yrange [-140:10]",
@@ -124,10 +119,7 @@ def write_spectrum_plot(path, csv_path) -> Path:
 
 
 def write_sweep_plot(path, csv_path, axis: str, metric: str) -> Path:
-    return _write_script(path, [
-        "set datafile separator ','",
-        "set terminal pngcairo size 900,500",
-        "set output 'sweep.png'",
+    return _write_plot(path, "sweep.png", "900,500", [
         f"set xlabel '{axis}'",
         f"set ylabel '{metric}'",
         f"plot '{csv_path}' skip 1 using 1:2 with linespoints notitle",

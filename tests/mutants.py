@@ -30,6 +30,7 @@ CORRECTION = "src/pipeadc/correction.py"
 CONFIG = "src/pipeadc/config.py"
 SOLVER = "src/pipeadc/solver.py"
 CLI = "src/pipeadc/cli.py"
+REPORTS = "src/pipeadc/reports.py"
 TEST_ENGINE = "tests/test_engine.py"
 TEST_METRICS = "tests/test_metrics.py"
 TEST_STAGES = "tests/test_stages.py"
@@ -37,6 +38,7 @@ TEST_CONFIG = "tests/test_config.py"
 TEST_CORRECTION = "tests/test_correction.py"
 TEST_SOLVER = "tests/test_solver.py"
 TEST_CLI = "tests/test_cli.py"
+TEST_REPORTS = "tests/test_reports.py"
 
 MUTANTS = [
     # (file, old, new, test file that must fail)
@@ -66,6 +68,9 @@ MUTANTS = [
      TEST_ENGINE),
     (ENGINE, "range(1, 3)", "range(1, 2), range(2, 3)", TEST_ENGINE),
     (ENGINE, "0.0 if c.clock.reset_enabled else amp.ota.k_mem", "amp.ota.k_mem", TEST_ENGINE),
+    # an amplifier whose settling factor rounds to 1 never moves: named by its own key
+    (ENGINE, "if e == 1.0:", "if False:", TEST_ENGINE),
+    (ENGINE, 'f"stages[{ch - 1}].ota.gbw"', 'f"stages[{ch}].ota.gbw"', TEST_ENGINE),
     # the relaxation bookkeeping: a group without memory into its first
     # channel takes one sweep, and the last channel's changes decide the rest
     (ENGINE, "MAX_SWEEPS = 64", "MAX_SWEEPS = 2", TEST_ENGINE),
@@ -79,6 +84,8 @@ MUTANTS = [
     # a sweep point out of its key's domain is named before the stimulus is built
     (SOLVER, "cfg = validate(set_param(config, axis, value))", "cfg = set_param(config, axis, value)",
      TEST_SOLVER),
+    # each sweep metric reads its own extremum
+    (SOLVER, "return abs(report.max_inl[0])", "return abs(report.max_dnl[0])", TEST_SOLVER),
     # the correction: each stage's delay, the clip, the code offset, the warm-up, and
     # the shift-and-add's doubling for each stage and once more before the flash
     (CORRECTION, "np.clip(acc, 0, FULL_SCALE_CODES - 1, out=acc)",
@@ -112,8 +119,8 @@ MUTANTS = [
     (METRICS, "    inl[0] = 0.0\n", "", TEST_METRICS),
     (METRICS, "di = int(np.argmax(np.abs(dnl[1:FULL_SCALE_CODES - 1]))) + 1",
      "di = int(np.argmax(np.abs(dnl[1:FULL_SCALE_CODES - 1])))", TEST_METRICS),
-    # a coherent bin halfway between two odd bins takes the upper one
-    (METRICS, "(hi - m_real) <= (m_real - lo)", "(hi - m_real) < (m_real - lo)", TEST_METRICS),
+    # a coherent bin halfway between two odd bins, an even m_real, takes the upper one
+    (METRICS, "m_real // 2.0", "(m_real - 1e-9) // 2.0", TEST_METRICS),
     # the declared domains, and how an interval's ends become bounds
     (CONFIG, 'gain_mismatch: float = _in(0.0, "(-0.5, 0.5)")',
      'gain_mismatch: float = _in(0.0, "(-0.5, 0.5]")', TEST_CONFIG),
@@ -127,8 +134,12 @@ MUTANTS = [
     (CONFIG, "key < len(node)", "key <= len(node)", TEST_CONFIG),
     (CONFIG, 'lo = math.nextafter(lo, math.inf) if interval[0] == "(" else lo', "", TEST_CONFIG),
     (CONFIG, "if isinstance(value, (int, float)) and value in (0, 1):", "if False:", TEST_CONFIG),
+    # a flash of the wrong width
+    (CONFIG, "if len(config.flash_offsets) != N_FLASH_THRESHOLDS:", "if False:", TEST_CONFIG),
     # a clock whose settling time underflows, though each of its keys is in range
     (CONFIG, "if config.clock.t_settle == 0.0:", "if False:", TEST_CONFIG),
+    # every file through one writer: a gnuplot script has no header row
+    (REPORTS, "        if header:\n", "        if True:\n", TEST_REPORTS),
     # the command line: each command's config from one place, the common options on
     # every subcommand, the working directory as the default output, one exit status
     (CLI, "return preset_config(name, seed=args.seed)", "return preset_config(name)", TEST_CLI),
@@ -169,6 +180,7 @@ def _pytest(tmp: Path, *test_files: str) -> subprocess.CompletedProcess:
 
 
 def main() -> int:
+    start = time.perf_counter()
     failures = []
     with tempfile.TemporaryDirectory() as d:
         tmp = Path(d)
@@ -205,6 +217,7 @@ def main() -> int:
         for path, old, new, why in EQUIVALENT:
             print(f"{'equiv':8} {'':7}  {path}: {old!r} -> {new!r}: {why}")
     print("\n".join(failures) or f"all {len(MUTANTS)} mutants killed")
+    print(f"{time.perf_counter() - start:.0f} s in all")
     return 1 if failures else 0
 
 

@@ -241,6 +241,24 @@ def test_sweep_empty_values_header_only(tmp_path, capsys):
     assert (tmp_path / "sweep.csv").read_text() == "ota.a0_db,enob_bits\n"
 
 
+def test_bad_sweep_values_fail_with_message(tmp_path, capsys):
+    status, out, err = run(["sweep", "--axis", "ota.gbw", "--values", "1,abc",
+                            "--out", str(tmp_path)], capsys)
+    assert status == 1
+    assert out == ""
+    assert err == "error: bad sweep values: '1,abc'\n"
+
+
+def test_linearity_lists_missing_interior_codes(tmp_path, capsys):
+    # a 5 % short first-stage DAC step opens gaps of three codes either side of mid-scale
+    cfg_path = tmp_path / "dac.cfg"
+    cfg_path.write_text("stages[0].dac_mismatch = -0.05\n")
+    status, out, _ = run(["linearity", "--config", str(cfg_path), "--samples", "65536",
+                          "--out", str(tmp_path)], capsys)
+    assert status == 0
+    assert "missing interior codes: [93, 94, 95, 160, 161, 162]\n" in out
+
+
 def test_settle_report_command(tmp_path, capsys):
     status, out, _ = run(["settle-report", "--config", "settling-fit",
                           "--out", str(tmp_path)], capsys)
@@ -251,13 +269,45 @@ def test_settle_report_command(tmp_path, capsys):
     assert len(lines) == 8
 
 
-def test_settle_report_on_sha_settling_to_zero_fails_with_message(tmp_path, capsys):
-    cfg_path = tmp_path / "slow.cfg"
-    cfg_path.write_text("ota.gbw = 1e-300\n")
+def test_settle_report_on_a_stage_settling_to_zero_fails_with_message(tmp_path, capsys):
+    # unity DC gain and instant settling: the SHA holds 0.3 V, and Stage1's residue
+    # of it, 2 * 0.3 V - vref, settles to exactly 0 V
+    cfg_path = tmp_path / "unity_gain.cfg"
+    cfg_path.write_text("ota.a0 = 1\nota.gbw = inf\n")
     status, _, err = run(["settle-report", "--config", str(cfg_path), "--out", str(tmp_path)],
                          capsys)
     assert status == 1
-    assert err.startswith("error: Stage1: its input, the SHA output, settled to 0 V")
+    assert err.startswith("error: Stage2: its input, the Stage1 output, settled to 0 V")
+
+
+# a file line that leaves one amplifier with a settling factor of 1, and the key
+# the message names for it
+DEAD_AMPLIFIERS = [("ota.gbw = 1e-300", "sha.ota.gbw"),
+                   ("stages[3].ota.gbw = 1e-300", "stages[3].ota.gbw"),
+                   ("clock.settle_fraction = 1e-300", "clock.settle_fraction / clock.fs")]
+
+
+@pytest.mark.parametrize("line,key", DEAD_AMPLIFIERS, ids=lambda x: x.split(" ")[0])
+@pytest.mark.parametrize("command", [
+    ["spectrum", "--nfft", "256"], ["settle-report"], ["linearity", "--samples", "65536"],
+    ["sweep", "--axis", "ota.a0_db", "--values", "60", "--nfft", "256"]], ids=lambda c: c[0])
+def test_an_amplifier_that_never_settles_fails_with_its_key(tmp_path, capsys, command, line, key):
+    cfg_path = tmp_path / "dead.cfg"
+    cfg_path.write_text(line + "\n")
+    status, out, err = run([*command, "--config", str(cfg_path), "--out", str(tmp_path / "o")],
+                           capsys)
+    assert status == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and key in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_specs_builds_no_engine_so_prints_for_an_amplifier_that_never_settles(tmp_path, capsys):
+    cfg_path = tmp_path / "dead.cfg"
+    cfg_path.write_text("ota.gbw = 1e-300\n")
+    status, out, _ = run(["specs", "--config", str(cfg_path)], capsys)
+    assert status == 0
+    assert out.startswith("error budget: ")
 
 
 @pytest.mark.parametrize("args", [

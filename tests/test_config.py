@@ -34,6 +34,12 @@ def test_five_stages_rejected():
         validate(c)
 
 
+def test_wrong_flash_offset_count_rejected():
+    c = replace(default_config(), flash_offsets=(0.0, 0.0))
+    with pytest.raises(ConfigError, match="^flash_offsets: expected 3 values$"):
+        validate(c)
+
+
 @pytest.mark.parametrize("path,value,msg", [
     ("clock.settle_fraction", 0.6, "settle_fraction"),
     ("clock.settle_fraction", 0.0, "settle_fraction"),

@@ -403,6 +403,22 @@ def test_memory_leaks_without_reset():
     assert not np.array_equal(a.residues[8:], b.residues[8:])
 
 
+@pytest.mark.parametrize("key,value,named", [
+    ("ota.gbw", 1e-300, "sha.ota.gbw"),
+    ("stages[3].ota.gbw", 1e-300, "stages[3].ota.gbw"),
+    ("clock.settle_fraction", 1e-300, "clock.settle_fraction / clock.fs"),
+])
+def test_an_amplifier_whose_settling_factor_rounds_to_one_is_rejected(key, value, named):
+    cfg = validate(set_param(default_config(), key, value))  # each key is in its interval
+    with pytest.raises(ConfigError, match=re.escape(named)):
+        PipelineEngine(cfg)
+
+
+def test_an_amplifier_that_settles_by_a_hair_is_accepted():
+    # exp(-t_settle / tau) is 1 - 7.3e-12 here (1 - 1.5e-11 for the SHA): below 1, so accepted
+    PipelineEngine(set_param(default_config(), "ota.gbw", 1e-3))
+
+
 def test_kmem_zero_equals_reset_enabled_bitwise():
     base = degraded_config(seed=4)
     no_reset = set_param(set_param(base, "clock.reset_enabled", False), "ota.k_mem", 0.0)

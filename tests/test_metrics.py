@@ -39,6 +39,11 @@ def ideal_ramp_stream(n_samples, vref=0.6):
     return digitize(wave, cfg)
 
 
+def test_ramp_linearity_rejects_a_stream_that_is_all_warm_up():
+    with pytest.raises(ValueError, match="empty stream after warm-up"):
+        ramp_linearity(synth_stream(np.arange(7), warmup=7))
+
+
 def test_ideal_ramp_linearity_is_flat():
     report = ramp_linearity(ideal_ramp_stream(2 ** 22))
     assert abs(report.max_dnl[0]) < 0.02

@@ -176,6 +176,40 @@ def test_sweep_header_keeps_bracketed_axis(tmp_path):
         "stages[0].ota.a0_db,inl_lsb\n50.0,7.25\n-0.0,5e-324\n")
 
 
+def test_trace_csv_needs_recorded_residues(tmp_path):
+    result = SimulationResult(vin=np.zeros(2), decisions=np.zeros((2, 6), dtype=np.int8),
+                              flash=np.zeros(2, dtype=np.int8), residues=None)
+    with pytest.raises(ValueError, match="record_residues=True"):
+        reports.write_trace_csv(tmp_path / "trace.csv", result)
+    assert not (tmp_path / "trace.csv").exists()
+
+
+# --- the gnuplot scripts, known answers -------------------------------------------
+
+PREAMBLE = "set datafile separator ','\nset terminal pngcairo size {}\nset output '{}'\n"
+
+
+@pytest.mark.parametrize("write,args,text", [
+    (reports.write_linearity_plot, ["lin.csv"],
+     PREAMBLE.format("900,700", "linearity.png")
+     + "set multiplot layout 2,1\nset xlabel 'code'\nset ylabel 'DNL (LSB)'\n"
+       "plot 'lin.csv' skip 1 using 1:2 with impulses notitle\nset ylabel 'INL (LSB)'\n"
+       "plot 'lin.csv' skip 1 using 1:3 with lines notitle\nunset multiplot\n"),
+    (reports.write_spectrum_plot, ["out/spec.csv"],
+     PREAMBLE.format("900,500", "spectrum.png")
+     + "set xlabel 'frequency (Hz)'\nset ylabel 'power (dBc)'\nset yrange [-140:10]\n"
+       "plot 'out/spec.csv' skip 1 using 2:3 with lines notitle\n"),
+    (reports.write_sweep_plot, ["sweep.csv", "stages[0].ota.a0_db", "inl"],
+     PREAMBLE.format("900,500", "sweep.png")
+     + "set xlabel 'stages[0].ota.a0_db'\nset ylabel 'inl'\n"
+       "plot 'sweep.csv' skip 1 using 1:2 with linespoints notitle\n"),
+], ids=["linearity", "spectrum", "sweep"])
+def test_gnuplot_script_text(tmp_path, write, args, text):
+    path = write(tmp_path / "nested" / "plot.gp", *args)
+    assert path == tmp_path / "nested" / "plot.gp"
+    assert path.read_bytes() == text.encode()
+
+
 # --- memory ---------------------------------------------------------------------
 
 

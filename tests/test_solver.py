@@ -137,6 +137,14 @@ def test_sweep_dnl_metric_runs():
     assert pts[0].metric < 0.05
 
 
+def test_sweep_inl_point_equals_ramp_report():
+    cfg = degraded_config(seed=3)
+    pts = sweep(cfg, "ota.gbw", [5e8], "inl", ramp_samples=2 ** 16)
+    report = ramp_report(set_param(cfg, "ota.gbw", 5e8), 2 ** 16)
+    assert [p.metric for p in pts] == [abs(report.max_inl[0])]
+    assert abs(report.max_inl[0]) != abs(report.max_dnl[0])  # so the two metrics differ here
+
+
 def test_sweep_dnl_reports_missing_codes():
     # at 300 MHz the degraded preset misses dozens of codes; that is DNL -1,
     # not a stimulus too poor to measure
