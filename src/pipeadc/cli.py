@@ -79,12 +79,13 @@ def _cmd_spectrum(args, config) -> None:
 
 def _cmd_specs(args, config) -> None:
     t_settle = config.clock.t_settle
+    gbw = min_gbw(t_settle)  # before the first line, as it may refuse the clock
     gain_db = gain_to_db(MIN_DC_GAIN)
     print(f"error budget: {ERR_FRACTION:g} LSB static + {ERR_FRACTION:g} LSB dynamic "
           f"at {N_BITS} bits, beta = {MDAC_BETA:g}")
     print(f"A0  >= {MIN_DC_GAIN:.0f} ({gain_db:.1f} dB; round up to {math.ceil(gain_db)} dB "
           "for margin)")
-    print(f"GBW >= {min_gbw(t_settle) / 1e6:.0f} MHz @ settle_fraction "
+    print(f"GBW >= {gbw / 1e6:.0f} MHz @ settle_fraction "
           f"{config.clock.settle_fraction:g} (t_settle = {t_settle * 1e9:.3f} ns)")
 
 
@@ -172,7 +173,7 @@ def run_subcommand(argv) -> int:
         return int(exc.code) if exc.code else 0
     try:
         args.func(args, _resolve_config(args))
-    except (ConfigError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -41,13 +41,15 @@ def min_gbw(t_settle: float) -> float:
 
     gbw_min = ln(1 / (ERR_FRACTION * 2^-N_BITS)) / (2*pi*MDAC_BETA*t_settle),
     i.e. enough time constants inside t_settle for the residual exponential
-    to drop below the budgeted fraction of an LSB. t_settle is checked here
-    too, as it is a bare float and need not come from a validated clock.
+    to drop below the budgeted fraction of an LSB. t_settle is checked here:
+    it need not come from a validated clock, and a subnormal one overflows.
     """
     if not t_settle > 0.0:
         raise ValueError(f"t_settle must be positive, got {t_settle!r}")
-    return math.log(1.0 / (ERR_FRACTION * 2.0 ** -N_BITS)) / (
-        2.0 * math.pi * MDAC_BETA * t_settle)
+    gbw = math.log(1.0 / (ERR_FRACTION * 2.0 ** -N_BITS)) / (2.0 * math.pi * MDAC_BETA * t_settle)
+    if not math.isfinite(gbw):
+        raise ValueError(f"t_settle is too short for a finite GBW budget, got {t_settle!r}")
+    return gbw
 
 
 # ---------------------------------------------------------------------------
@@ -102,18 +104,15 @@ def settle_report(config: AdcConfig) -> list[SettleRow]:
     vref = config.reference.vref
     wave = generate(Waveform(kind="pulse", length=64, v_low=-vref, v_high=vref), config.clock)
     res = PipelineEngine(config).simulate(wave).residues[-1]
-    rows = []
-    ideal = vref
     names = ["SHA"] + [f"Stage{k}" for k in range(1, N_STAGES + 1)]
-    for i, name in enumerate(names):
-        sim = float(res[i])
+    simulated = [float(v) for v in res]
+    rows = []
+    for i, (name, ideal, sim) in enumerate(zip(names, [vref] + simulated[:-1], simulated)):
         if ideal == 0.0:
             raise ValueError(f"{name}: its input, the {names[i - 1]} output, settled to 0 V, "
                              "so its percent error is undefined")
-        err_pct = (ideal - sim) / ideal * 100.0
-        rows.append(SettleRow(stage=name, ideal_mv=ideal * 1e3,
-                              simulated_mv=sim * 1e3, error_pct=err_pct))
-        ideal = sim
+        rows.append(SettleRow(stage=name, ideal_mv=ideal * 1e3, simulated_mv=sim * 1e3,
+                              error_pct=(ideal - sim) / ideal * 100.0))
     return rows
 
 

@@ -84,6 +84,8 @@ MUTANTS = [
     # a sweep point out of its key's domain is named before the stimulus is built
     (SOLVER, "cfg = validate(set_param(config, axis, value))", "cfg = set_param(config, axis, value)",
      TEST_SOLVER),
+    # a subnormal settling time overflows the GBW budget, which is refused
+    (SOLVER, "if not math.isfinite(gbw):", "if False:", TEST_SOLVER),
     # each sweep metric reads its own extremum
     (SOLVER, "return abs(report.max_inl[0])", "return abs(report.max_dnl[0])", TEST_SOLVER),
     # the correction: each stage's delay, the clip, the code offset, the warm-up, and
@@ -147,7 +149,7 @@ MUTANTS = [
     (CLI, 'sub.add_parser("specs", parents=[common],', 'sub.add_parser("specs",', TEST_CLI),
     (CLI, 'default=Path(".")', 'default=Path("out")', TEST_CLI),
     (CLI, "    return 0\n\n\ndef main", "    return 1\n\n\ndef main", TEST_CLI),
-    (CLI, "(ConfigError, ValueError, OSError)", "(ConfigError, ValueError)", TEST_CLI),
+    (CLI, "(ValueError, OSError)", "(ValueError,)", TEST_CLI),
 ]
 
 EQUIVALENT = [

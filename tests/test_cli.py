@@ -10,6 +10,7 @@ from pipeadc import (PipelineEngine, Waveform, coherent_frequency, correct_resul
                      default_config, degraded_config, generate, save_config)
 from pipeadc.cli import build_parser, run_subcommand
 from pipeadc.solver import N_FFT, RAMP_SAMPLES
+from rejections import REFUSED, arguments, check
 
 
 def run(args, capsys):
@@ -42,13 +43,14 @@ def test_module_entry_point_runs_command(tmp_path):
 
 def test_unknown_subcommand_fails(capsys):
     status, _, err = run(["frobnicate"], capsys)
-    assert status != 0
+    assert status == 2
+    assert "invalid choice" in err
 
 
-def test_unknown_config_fails(tmp_path, capsys):
-    status, _, err = run(["specs", "--config", "no-such-thing", "--out", str(tmp_path)], capsys)
-    assert status == 1
-    assert "error:" in err
+@pytest.mark.parametrize("row", REFUSED, ids=lambda row: row.id)
+def test_refused_command_keeps_the_contract(tmp_path, capsys, row):
+    status, out, err = run(arguments(row, tmp_path), capsys)
+    check(row, status, out, err, tmp_path)
 
 
 def test_simulate_emits_codes_csv(tmp_path, capsys):
@@ -128,34 +130,6 @@ def test_spectrum_labels_bins_at_the_config_sample_rate(tmp_path, capsys):
     rows = [line.split(",") for line in
             (tmp_path / "spectrum.csv").read_text().splitlines()[1:]]
     assert [row[:2] for row in rows] == [[str(k), repr(k * (100e6 / 256))] for k in range(129)]
-
-
-@pytest.mark.parametrize("nfft", ["0", "-4", "2", "4", "8", "128", "1000"])
-@pytest.mark.parametrize("command", [["spectrum"], ["sweep", "--axis", "ota.a0_db",
-                                                    "--values", "60", "--metric", "enob"]])
-def test_bad_nfft_fails_with_message(tmp_path, capsys, command, nfft):
-    status, _, err = run(command + ["--config", "ideal", "--nfft", nfft,
-                                    "--out", str(tmp_path)], capsys)
-    assert status == 1
-    assert err.startswith("error:") and "n_fft" in err
-
-
-def test_tiny_clock_file_fails_before_any_report_line(tmp_path, capsys):
-    # settle_fraction / fs underflows to 0.0 though each key is in its interval
-    cfg_path = tmp_path / "tiny.cfg"
-    cfg_path.write_text("clock.fs = 1e308\nclock.settle_fraction = 1e-20\n")
-    status, out, err = run(["specs", "--config", str(cfg_path)], capsys)
-    assert status == 1
-    assert out == ""
-    assert err == "error: clock.settle_fraction / clock.fs: the settling time underflows to 0\n"
-
-
-def test_sweep_to_an_underflowing_settling_time_names_the_key(tmp_path, capsys):
-    status, out, err = run(["sweep", "--axis", "clock.settle_fraction", "--values", "1e-320",
-                            "--nfft", "256", "--out", str(tmp_path)], capsys)
-    assert status == 1
-    assert out == ""
-    assert err.startswith("error: clock.settle_fraction")
 
 
 # every subcommand, with the fewest arguments it parses with
@@ -241,14 +215,6 @@ def test_sweep_empty_values_header_only(tmp_path, capsys):
     assert (tmp_path / "sweep.csv").read_text() == "ota.a0_db,enob_bits\n"
 
 
-def test_bad_sweep_values_fail_with_message(tmp_path, capsys):
-    status, out, err = run(["sweep", "--axis", "ota.gbw", "--values", "1,abc",
-                            "--out", str(tmp_path)], capsys)
-    assert status == 1
-    assert out == ""
-    assert err == "error: bad sweep values: '1,abc'\n"
-
-
 def test_linearity_lists_missing_interior_codes(tmp_path, capsys):
     # a 5 % short first-stage DAC step opens gaps of three codes either side of mid-scale
     cfg_path = tmp_path / "dac.cfg"
@@ -269,58 +235,12 @@ def test_settle_report_command(tmp_path, capsys):
     assert len(lines) == 8
 
 
-def test_settle_report_on_a_stage_settling_to_zero_fails_with_message(tmp_path, capsys):
-    # unity DC gain and instant settling: the SHA holds 0.3 V, and Stage1's residue
-    # of it, 2 * 0.3 V - vref, settles to exactly 0 V
-    cfg_path = tmp_path / "unity_gain.cfg"
-    cfg_path.write_text("ota.a0 = 1\nota.gbw = inf\n")
-    status, _, err = run(["settle-report", "--config", str(cfg_path), "--out", str(tmp_path)],
-                         capsys)
-    assert status == 1
-    assert err.startswith("error: Stage2: its input, the Stage1 output, settled to 0 V")
-
-
-# a file line that leaves one amplifier with a settling factor of 1, and the key
-# the message names for it
-DEAD_AMPLIFIERS = [("ota.gbw = 1e-300", "sha.ota.gbw"),
-                   ("stages[3].ota.gbw = 1e-300", "stages[3].ota.gbw"),
-                   ("clock.settle_fraction = 1e-300", "clock.settle_fraction / clock.fs")]
-
-
-@pytest.mark.parametrize("line,key", DEAD_AMPLIFIERS, ids=lambda x: x.split(" ")[0])
-@pytest.mark.parametrize("command", [
-    ["spectrum", "--nfft", "256"], ["settle-report"], ["linearity", "--samples", "65536"],
-    ["sweep", "--axis", "ota.a0_db", "--values", "60", "--nfft", "256"]], ids=lambda c: c[0])
-def test_an_amplifier_that_never_settles_fails_with_its_key(tmp_path, capsys, command, line, key):
-    cfg_path = tmp_path / "dead.cfg"
-    cfg_path.write_text(line + "\n")
-    status, out, err = run([*command, "--config", str(cfg_path), "--out", str(tmp_path / "o")],
-                           capsys)
-    assert status == 1
-    assert out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1 and key in err
-    assert not (tmp_path / "o").exists()
-
-
 def test_specs_builds_no_engine_so_prints_for_an_amplifier_that_never_settles(tmp_path, capsys):
     cfg_path = tmp_path / "dead.cfg"
     cfg_path.write_text("ota.gbw = 1e-300\n")
     status, out, _ = run(["specs", "--config", str(cfg_path)], capsys)
     assert status == 0
     assert out.startswith("error budget: ")
-
-
-@pytest.mark.parametrize("args", [
-    ["specs", "--config", "{cfg}"],
-    ["sweep", "--axis", "ota.a0_db", "--values", "7000"],
-])
-def test_a0_db_beyond_float_range_fails_with_message(tmp_path, capsys, args):
-    cfg_path = tmp_path / "huge.cfg"
-    cfg_path.write_text("ota.a0_db = 7000\n")
-    args = [a.format(cfg=cfg_path) for a in args]
-    status, _, err = run([*args, "--out", str(tmp_path)], capsys)
-    assert status == 1
-    assert err.startswith("error: bad value for ota.a0_db: ")
 
 
 def test_specs_margin_hint_rounds_up_the_required_gain(tmp_path, capsys):
@@ -343,24 +263,6 @@ def test_removed_measurement_options_are_usage_errors(tmp_path, capsys, args):
     status, _, err = run([*args, "--out", str(tmp_path)], capsys)
     assert status == 2
     assert "unrecognized arguments" in err
-
-
-def test_non_integer_seed_sweep_fails_with_message(tmp_path, capsys):
-    status, _, err = run(["sweep", "--axis", "rng_seed", "--values", "inf", "--nfft", "256",
-                          "--out", str(tmp_path)], capsys)
-    assert status == 1
-    assert err == "error: unknown key: rng_seed\n"
-
-
-@pytest.mark.parametrize("config", ["ideal", "{cfg}"], ids=["preset", "file"])
-def test_seed_without_a_mismatch_draw_fails_with_message(tmp_path, capsys, config):
-    cfg_path = tmp_path / "my.cfg"
-    save_config(default_config(), cfg_path)
-    status, out, err = run(["spectrum", "--config", config.format(cfg=cfg_path), "--seed", "1",
-                            "--nfft", "256", "--out", str(tmp_path)], capsys)
-    assert status == 1
-    assert out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_config_file_roundtrip_through_cli(tmp_path, capsys):

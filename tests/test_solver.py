@@ -37,11 +37,17 @@ def test_min_gbw_scales_exactly():
     assert min_gbw(2 * T_SETTLE) == min_gbw(T_SETTLE) / 2.0
 
 
-@pytest.mark.parametrize("t_settle", [0.0, -T_SETTLE, math.nan],
-                         ids=["zero-t_settle", "negative-t_settle", "nan-t_settle"])
-def test_budget_validation(t_settle):
-    with pytest.raises(ValueError, match="^t_settle must be positive"):
+@pytest.mark.parametrize("t_settle,message", [
+    (0.0, "must be positive"), (-T_SETTLE, "must be positive"), (math.nan, "must be positive"),
+    (1e-310, "is too short for a finite GBW budget")],
+    ids=["zero-t_settle", "negative-t_settle", "nan-t_settle", "subnormal-t_settle"])
+def test_budget_validation(t_settle, message):
+    with pytest.raises(ValueError, match=f"^t_settle {message}"):
         min_gbw(t_settle)
+
+
+def test_min_gbw_is_finite_down_to_the_smallest_normal_t_settle():
+    assert min_gbw(sys.float_info.min) < 1e308
 
 
 def test_budget_consistency_with_settling():
